@@ -97,6 +97,7 @@ func runThroughProxy(t *testing.T, cfg Config, pcfg chaos.Config, configure func
 // run's bit for bit, for an approximate strategy and for ExactMLE (exact
 // counters stay exact).
 func TestChaosSeveredConnectionsBitIdentical(t *testing.T) {
+	checkGoroutines(t)
 	for _, strategy := range []core.Strategy{core.Uniform, core.ExactMLE} {
 		t.Run(strategy.String(), func(t *testing.T) {
 			cfg := chaosConfig(t, strategy)
@@ -127,6 +128,7 @@ func TestChaosSeveredConnectionsBitIdentical(t *testing.T) {
 // still be bit-identical (the frame *count* legitimately differs, so only
 // events and estimates are pinned).
 func TestChaosDuplicatesAndDelayBitIdentical(t *testing.T) {
+	checkGoroutines(t)
 	cfg := chaosConfig(t, core.Uniform)
 	cfg.SiteBatchEvents = 64 // exercise the v2 framing under faults too
 	cfg.Shards = 4
@@ -161,6 +163,7 @@ func TestChaosDuplicatesAndDelayBitIdentical(t *testing.T) {
 // fold dedups, and the estimates must match the uninterrupted run bit for
 // bit.
 func TestChaosSiteKillRestartBitIdentical(t *testing.T) {
+	checkGoroutines(t)
 	for _, strategy := range []core.Strategy{core.Uniform, core.ExactMLE} {
 		t.Run(strategy.String(), func(t *testing.T) {
 			cfg := chaosConfig(t, strategy)
@@ -189,6 +192,7 @@ func TestChaosSiteKillRestartBitIdentical(t *testing.T) {
 // replay + continued stream raise each matrix cell to exactly its
 // uninterrupted final value.
 func TestChaosCoordinatorKillRestartConverges(t *testing.T) {
+	checkGoroutines(t)
 	cfg := chaosConfig(t, core.Uniform)
 	want, base := baselineFingerprint(t, cfg)
 
@@ -293,6 +297,7 @@ func TestChaosCoordinatorKillRestartConverges(t *testing.T) {
 // checkpoint written after the run completed must serve immediately and
 // still answer a straggler site's resume with the closing stats.
 func TestChaosCoordinatorRestartAfterCompletion(t *testing.T) {
+	checkGoroutines(t)
 	cfg := chaosConfig(t, core.Uniform)
 	cfg.Events = 2000
 	dir := t.TempDir()

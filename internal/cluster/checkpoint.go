@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 
 	"distbayes/internal/core"
 )
@@ -27,8 +28,9 @@ import (
 // point converges to the uninterrupted run's exact final state once the
 // sites re-resume and replay their decided counts. Periodic checkpoints are
 // cadenced on received frames (deterministic, unlike wall clock) and written
-// atomically (temp file + rename), so a crash mid-write leaves the previous
-// checkpoint intact.
+// atomically and durably (fsynced temp file, rename, fsynced directory), so
+// neither a crash nor a power loss mid-write corrupts the previous
+// checkpoint.
 
 const checkpointMagic = "DBCLUS01"
 
@@ -89,21 +91,11 @@ func readCheckpoint(r io.Reader, maxSites, maxCounters uint32) (*checkpointState
 		return nil, err
 	}
 	st := &checkpointState{}
-	if st.Fingerprint, err = cr.U64(); err != nil {
-		return nil, err
-	}
-	if st.Epoch, err = cr.U64(); err != nil {
-		return nil, err
-	}
-	if st.Frames, err = cr.U64(); err != nil {
-		return nil, err
-	}
-	if st.Updates, err = cr.U64(); err != nil {
-		return nil, err
-	}
-	sites, err := cr.U64()
-	if err != nil {
-		return nil, err
+	var sites uint64
+	for _, f := range []*uint64{&st.Fingerprint, &st.Epoch, &st.Frames, &st.Updates, &sites} {
+		if *f, err = cr.U64(); err != nil {
+			return nil, err
+		}
 	}
 	if sites == 0 || sites > uint64(maxSites) {
 		return nil, fmt.Errorf("cluster: checkpoint declares %d sites, want 1..%d", sites, maxSites)
@@ -141,13 +133,12 @@ func readCheckpoint(r io.Reader, maxSites, maxCounters uint32) (*checkpointState
 // prefix of the run — restoring it and letting the sites replay converges to
 // the identical final state.
 func (co *Coordinator) WriteCheckpoint(w io.Writer) error {
-	co.mu.Lock()
-	sites := make([]checkpointSite, len(co.slots))
-	for i := range co.slots {
-		sites[i].Done = co.slots[i].done
-		sites[i].Events = uint64(co.slots[i].events)
+	slots := co.s.slots.all()
+	sites := make([]checkpointSite, len(slots))
+	for i, sl := range slots {
+		sites[i].Done = sl.done
+		sites[i].Events = uint64(sl.events)
 	}
-	co.mu.Unlock()
 	rows := make([][]int64, len(co.reported))
 	for s := range co.stripes {
 		co.stripes[s].mu.Lock()
@@ -179,20 +170,14 @@ func (co *Coordinator) WriteCheckpoint(w io.Writer) error {
 		if sites[i].Done {
 			done = 1
 		}
-		if err := cw.PutU64(done); err != nil {
-			return err
-		}
-		if err := cw.PutU64(sites[i].Events); err != nil {
-			return err
-		}
-		ups = ups[:0]
-		// Rows are compact (indexed by id − ownLo); the checkpoint stores
-		// absolute counter ids so it is self-describing.
-		for idx, n := range rows[i] {
-			if n != 0 {
-				ups = append(ups, Update{Counter: uint32(idx) + co.ownLo, LocalCount: n})
+		for _, v := range []uint64{done, sites[i].Events} {
+			if err := cw.PutU64(v); err != nil {
+				return err
 			}
 		}
+		// Rows are compact (indexed by id − ownLo); the checkpoint stores
+		// absolute counter ids so it is self-describing.
+		ups = appendNonzero(ups[:0], rows[i], co.ownLo)
 		buf = encodeUpdates2(buf, ups)
 		if err := cw.PutRecord(buf); err != nil {
 			return err
@@ -223,10 +208,8 @@ func (co *Coordinator) RestoreCheckpoint(r io.Reader) error {
 	co.updates.Store(int64(st.Updates))
 	for i := range st.Sites {
 		if st.Sites[i].Done {
-			co.slots[i].done = true
-			co.slots[i].events = int64(st.Sites[i].Events)
+			co.s.slots.markDone(uint32(i), int64(st.Sites[i].Events))
 			co.events.Add(int64(st.Sites[i].Events))
-			co.doneCount++
 		}
 		row := co.reported[i]
 		for _, u := range st.Sites[i].Row {
@@ -240,25 +223,45 @@ func (co *Coordinator) RestoreCheckpoint(r io.Reader) error {
 	return nil
 }
 
-// WriteCheckpointFile writes a checkpoint atomically: the state goes to a
-// temporary sibling of path and replaces it with a rename, so a crash
-// mid-write never corrupts the previous checkpoint.
+// WriteCheckpointFile writes a checkpoint atomically and durably: the state
+// goes to a temporary sibling of path, is fsynced, and replaces path with a
+// rename, after which the parent directory is fsynced — so neither a crash
+// nor a power loss mid-write corrupts the previous checkpoint, and a
+// returned nil means the new one survives both.
 func (co *Coordinator) WriteCheckpointFile(path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := co.WriteCheckpoint(f); err != nil {
-		f.Close()
+	err = co.WriteCheckpoint(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // RestoreCheckpointFile restores the checkpoint stored at path; see
@@ -284,21 +287,25 @@ func (co *Coordinator) LastCheckpointError() error {
 }
 
 // checkpointLoop services the frame-cadenced checkpoint requests that
-// serveSite enqueues (nonblocking, so the ingest hot path never waits on
-// file IO) and writes one final checkpoint when the run completes, so a
-// coordinator restarted after completion serves stats immediately.
+// frame enqueues (nonblocking, so the ingest hot path never waits on file
+// IO) and writes one final checkpoint when the run completes, so a
+// coordinator restarted after completion serves stats immediately. A
+// cadence request that raced the end of the run is still honoured. The loop
+// is owned by the session, so Close (or a killed Serve) returns only after
+// the last write has finished.
 func (co *Coordinator) checkpointLoop() {
+	write := func() {
+		if err := co.WriteCheckpointFile(co.cfg.CheckpointPath); err != nil {
+			co.ckptErr.Store(&err)
+		}
+	}
 	for {
 		select {
 		case <-co.ckptCh:
-			if err := co.WriteCheckpointFile(co.cfg.CheckpointPath); err != nil {
-				co.ckptErr.Store(&err)
-			}
+			write()
 		case <-co.finishCh:
-			if co.finishErr == nil {
-				if err := co.WriteCheckpointFile(co.cfg.CheckpointPath); err != nil {
-					co.ckptErr.Store(&err)
-				}
+			if len(co.ckptCh) > 0 || co.finishErr == nil {
+				write()
 			}
 			return
 		}

@@ -37,6 +37,7 @@ func TestCheckpointGoldenBitCompat(t *testing.T) {
 	for _, g := range golden {
 		g := g
 		t.Run(g.strategy.String(), func(t *testing.T) {
+			checkGoroutines(t)
 			cfg := Config{
 				NetName: "alarm", CPTSeed: 0xC0DE, Strategy: g.strategy, Eps: 0.1, Delta: 0.25,
 				Sites: 3, Events: 4000, StreamSeed: 99,
@@ -128,6 +129,7 @@ func TestCheckpointGoldenBitCompat(t *testing.T) {
 // bit-identical — the restored matrix alone carries them, no site ever
 // connects.
 func TestCheckpointRoundTripCompleteRun(t *testing.T) {
+	checkGoroutines(t)
 	cfg := Config{
 		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.Uniform, Eps: 0.1, Delta: 0.25,
 		Sites: 3, Events: 4000, StreamSeed: 99,
@@ -170,6 +172,7 @@ func TestCheckpointRoundTripCompleteRun(t *testing.T) {
 // coordinator whose run parameters differ — restoring alarm counts into an
 // insurance run would silently corrupt every estimate.
 func TestCheckpointFingerprintMismatch(t *testing.T) {
+	checkGoroutines(t)
 	cfg := Config{
 		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.Uniform, Eps: 0.1, Delta: 0.25,
 		Sites: 3, Events: 400, StreamSeed: 99,
@@ -199,6 +202,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 // concurrency choice; a checkpoint from a serial coordinator must load into
 // a striped one (and vice versa) so operators can rescale on restart.
 func TestCheckpointShardsExcludedFromFingerprint(t *testing.T) {
+	checkGoroutines(t)
 	cfg := Config{
 		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.Uniform, Eps: 0.1, Delta: 0.25,
 		Sites: 3, Events: 400, StreamSeed: 99,

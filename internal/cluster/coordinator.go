@@ -299,33 +299,6 @@ type estSnapshot struct {
 	builtAt time.Time
 }
 
-// siteSlot is the coordinator's supervision record for one site id: the
-// current connection (nil while the site is disconnected), a generation
-// counter so a stale reader or grace timer can tell it has been superseded
-// by a reconnect, and the site's completion state. Guarded by Coordinator.mu
-// except where noted.
-type siteSlot struct {
-	// raw/c is the live direct connection, nil/nil while disconnected or
-	// routed through a relay.
-	raw net.Conn
-	c   *conn
-	// via is the relay connection the site is routed through (nil for a
-	// direct connection): control replies travel down it wrapped in
-	// frameRelayCtl and its death detaches every site it carried.
-	via *relayLink
-	// gen is bumped on every (re)connect; readers and grace timers capture
-	// it and stand down when the slot has moved on.
-	gen uint64
-	// done records that the site's Done marker was accepted (exactly once —
-	// a replayed Done after a resume is deduplicated here).
-	done bool
-	// events is the site's reported event count, recorded at Done.
-	events int64
-	// wmu serializes writers to the current connection (handshake replies
-	// and the closing stats frame can race a reconnect).
-	wmu sync.Mutex
-}
-
 // Coordinator is the query-answering hub of the monitoring system. Unlike
 // the historical implementation, which materialized estimates once after
 // Serve returned, queries are valid at any time — during a live run they are
@@ -344,8 +317,11 @@ type Coordinator struct {
 	cfg    Config
 	net    *bn.Network
 	layout *Layout
-	ln     net.Listener
 	sqrtK  float64
+
+	// s is the connection layer (session.go): peers, the per-site slot
+	// table, and every goroutine the coordinator runs.
+	s *session
 
 	// ownLo, ownHi bound the counter-id range this coordinator owns:
 	// [0, NumCounters()) unstriped, Layout.StripeRange(StripeIndex,
@@ -361,6 +337,9 @@ type Coordinator struct {
 	// rows mean two sites never write the same cell, but queries read across
 	// all sites.
 	reported [][]int64
+	// buckets pools the per-stripe scratch fold uses to group a frame's
+	// updates by stripe (multi-stripe coordinators only).
+	buckets sync.Pool
 
 	// snap is the last published estimate snapshot (nil until the first
 	// query); rebuildMu serializes rebuilds so concurrent queries do not
@@ -378,11 +357,6 @@ type Coordinator struct {
 	// checkpoint restore. Sites learn it from the resume ack.
 	epoch uint64
 
-	// mu guards slots and doneCount.
-	mu        sync.Mutex
-	slots     []siteSlot
-	doneCount int
-
 	// finishCh closes exactly once when the run ends; finishErr (written
 	// before the close) is nil on success, ErrCoordinatorClosed on an
 	// abrupt Close, or the first fatal protocol/supervision error.
@@ -391,10 +365,8 @@ type Coordinator struct {
 	finishErr  error
 
 	serveOnce sync.Once
-	closeOnce sync.Once
-	closed    atomic.Bool
 
-	// CrashAfterFrames, when set before Serve, makes the coordinator Close
+	// CrashAfterFrames, when set before Serve, makes the coordinator stop
 	// itself the moment its frame counter reaches the given value — the
 	// chaos tests' deterministic coordinator kill, the counterpart of
 	// Site.CrashAfterEvents (frame counts do not depend on timing, so the
@@ -433,10 +405,6 @@ func NewCoordinator(cfg Config, addr string) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
 	nStripes := cfg.Shards
 	if nStripes <= 1 {
 		nStripes = 1
@@ -448,10 +416,8 @@ func NewCoordinator(cfg Config, addr string) (*Coordinator, error) {
 		cfg:       cfg,
 		net:       netw,
 		layout:    layout,
-		ln:        ln,
 		sqrtK:     math.Sqrt(float64(cfg.Sites)),
 		stripes:   make([]coStripe, nStripes),
-		slots:     make([]siteSlot, cfg.Sites),
 		finishCh:  make(chan struct{}),
 		ckptEvery: cfg.CheckpointEveryFrames,
 		ckptCh:    make(chan struct{}, 1),
@@ -463,25 +429,31 @@ func NewCoordinator(cfg Config, addr string) (*Coordinator, error) {
 	}
 	if cfg.StructBatchEvents > 0 {
 		winEvents, winBlocks := cfg.structWindow()
-		co.structs, err = newStructEngine(netw, cfg.Sites, winEvents, winBlocks)
-		if err != nil {
-			ln.Close()
+		if co.structs, err = newStructEngine(netw, cfg.Sites, winEvents, winBlocks); err != nil {
 			return nil, err
 		}
 	}
 	if cfg.DriftNetName != "" {
 		drift, err := netgen.ByName(cfg.DriftNetName)
 		if err != nil {
-			ln.Close()
 			return nil, err
 		}
 		if err := sameVariables(netw, drift); err != nil {
-			ln.Close()
 			return nil, fmt.Errorf("cluster: drift network %q incompatible with %q: %w",
 				cfg.DriftNetName, cfg.NetName, err)
 		}
 		co.drift = drift
 	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	co.s = newSession(ln, co)
+	var cells uint32
+	if co.structs != nil {
+		cells = co.structs.layout.Cells()
+	}
+	co.s.setLayout(cfg.Sites, layout.NumCounters(), cells)
 	return co, nil
 }
 
@@ -502,28 +474,29 @@ func sameVariables(a, b *bn.Network) error {
 }
 
 // Addr returns the listening address.
-func (co *Coordinator) Addr() string { return co.ln.Addr().String() }
+func (co *Coordinator) Addr() string { return co.s.ln.Addr().String() }
 
-// Close releases the listener and every site connection. Safe to call at any
-// time, from any goroutine, and more than once: called after Serve returned
-// it is a plain resource release; called while Serve is running it is an
-// abrupt stop — Serve returns ErrCoordinatorClosed without distributing
-// stats, the chaos tests' stand-in for kill -9 (no final checkpoint is
-// written; only the periodic cadence ones survive, as with a real crash).
+// Close releases the listener and every connection, and returns once every
+// goroutine the coordinator started — accept loop, connection readers,
+// checkpoint writer, grace timers — has exited, so nothing of the run
+// (a checkpoint write included) happens after Close returns. Safe to call
+// at any time, from any goroutine, and more than once: called after Serve
+// returned it is a plain resource release; called while Serve is running it
+// is an abrupt stop — Serve returns ErrCoordinatorClosed without
+// distributing stats, the chaos tests' stand-in for kill -9 (no final
+// checkpoint is written; only the periodic cadence ones survive, as with a
+// real crash).
 func (co *Coordinator) Close() error {
-	co.closeOnce.Do(func() {
-		co.closed.Store(true)
-		co.ln.Close()
-		co.mu.Lock()
-		for i := range co.slots {
-			if co.slots[i].raw != nil {
-				co.slots[i].raw.Close()
-			}
-		}
-		co.mu.Unlock()
-		co.finish(ErrCoordinatorClosed)
-	})
+	co.stop()
+	co.s.wait()
 	return nil
+}
+
+// stop is Close without the join: the CrashAfterFrames hook runs it on a
+// connection reader, which cannot wait for itself. Serve joins instead.
+func (co *Coordinator) stop() {
+	co.s.stop()
+	co.finish(ErrCoordinatorClosed)
 }
 
 // finish ends the run exactly once.
@@ -564,67 +537,42 @@ func (co *Coordinator) Err() error {
 // Serve does not fail on connection loss: a disconnected site has
 // Config.grace() to come back (resume or restart) before the run is failed.
 // Fatal errors remain fatal: a malformed handshake, an out-of-range site id,
-// a listener failure, or Close. Serve may be called once per Coordinator;
-// a coordinator restored from a checkpoint resumes the run where the
-// checkpoint left it (sites already recorded done stay done).
+// a listener failure, or Close — after which Serve returns only once the
+// coordinator's goroutines have exited. Serve may be called once per
+// Coordinator; a coordinator restored from a checkpoint resumes the run
+// where the checkpoint left it (sites already recorded done stay done).
 func (co *Coordinator) Serve() (Result, error) {
 	co.serveOnce.Do(func() {
-		go co.acceptLoop()
+		// The accept loop outlives Serve so a site that missed the closing
+		// stats can still reconnect and collect them.
+		co.s.spawn(co.s.acceptLoop)
 		if co.ckptEvery > 0 {
-			go co.checkpointLoop()
+			co.s.spawn(co.checkpointLoop)
 		}
 	})
 	// A coordinator restored from a post-run checkpoint has nothing left to
-	// serve; complete immediately (stragglers fetch stats via acceptLoop).
-	co.mu.Lock()
-	if co.doneCount == len(co.slots) {
-		co.mu.Unlock()
+	// serve; complete immediately (stragglers fetch stats via the accept
+	// loop).
+	if co.s.slots.allDone() {
 		co.finish(nil)
-	} else {
-		co.mu.Unlock()
 	}
 
 	<-co.finishCh
 	if co.finishErr != nil {
+		if co.finishErr == ErrCoordinatorClosed {
+			co.s.wait()
+		}
 		return Result{}, co.finishErr
 	}
 
 	stats := co.LiveStats()
 	payload := encodeStats(stats.Stats)
-	co.mu.Lock()
-	type out struct {
-		c    *conn
-		wmu  *sync.Mutex
-		site uint32
-		via  bool
-	}
-	var outs []out
-	for i := range co.slots {
-		switch {
-		case co.slots[i].c != nil:
-			outs = append(outs, out{co.slots[i].c, &co.slots[i].wmu, uint32(i), false})
-		case co.slots[i].via != nil:
-			// Relay-routed site: the stats travel down wrapped in a ctl
-			// frame; the relay unwraps and delivers them.
-			l := co.slots[i].via
-			outs = append(outs, out{l.c, &l.wmu, uint32(i), true})
-		}
-	}
-	co.mu.Unlock()
-	for _, o := range outs {
+	for site, sl := range co.s.slots.all() {
 		// Best effort: a site that lost its connection right at the end
-		// re-resumes and collects stats from the acceptLoop instead.
-		o.wmu.Lock()
-		var err error
-		if o.via {
-			err = o.c.writeFrame(frameRelayCtl, encodeRelayWrapped(o.site, frameStats, payload))
-		} else {
-			err = o.c.writeFrame(frameStats, payload)
+		// re-resumes and collects stats from the accept loop instead.
+		if sl.peer != nil {
+			sl.peer.send(uint32(site), frameStats, payload)
 		}
-		if err == nil {
-			o.c.flush()
-		}
-		o.wmu.Unlock()
 	}
 
 	runtime := time.Duration(co.lastNs.Load() - co.firstNs.Load())
@@ -638,139 +586,7 @@ func (co *Coordinator) Serve() (Result, error) {
 	return res, nil
 }
 
-// acceptLoop admits connections until the listener closes: site joins
-// (hello), process-restart rejoins (hello for an already-seen id) and
-// connection-level resumes (protocol v3). It outlives Serve so a site that
-// missed the closing stats can still reconnect and collect them.
-func (co *Coordinator) acceptLoop() {
-	for {
-		raw, err := co.ln.Accept()
-		if err != nil {
-			if !co.closed.Load() {
-				co.finish(fmt.Errorf("cluster: accept: %w", err))
-			}
-			return
-		}
-		go co.handleConn(raw)
-	}
-}
-
-// handleConn performs the handshake on one accepted connection and, for a
-// live run, hands it to a reader goroutine.
-func (co *Coordinator) handleConn(raw net.Conn) {
-	c := newConn(raw)
-	t, payload, err := c.readFrame()
-	if err != nil {
-		// The dialer vanished (or a fault cut the handshake frame): not a
-		// protocol violation, just a dead connection.
-		raw.Close()
-		return
-	}
-	var id uint32
-	var resume resumeReq
-	switch t {
-	case frameHello:
-		id, err = decodeHello(payload)
-	case frameResume:
-		resume, err = decodeResume(payload)
-		id = resume.Site
-	case frameRelayHello:
-		relayID, err := decodeHello(payload)
-		if err != nil {
-			raw.Close()
-			co.finish(err)
-			return
-		}
-		co.serveRelay(raw, c, relayID)
-		return
-	default:
-		raw.Close()
-		co.finish(fmt.Errorf("cluster: first frame %d, want hello or resume", t))
-		return
-	}
-	if err != nil {
-		raw.Close()
-		co.finish(err)
-		return
-	}
-	if id >= uint32(co.cfg.Sites) {
-		raw.Close()
-		co.finish(fmt.Errorf("cluster: site id %d out of range", id))
-		return
-	}
-	if over, ferr := co.finished(); over {
-		if ferr == nil && t == frameResume {
-			// Run already complete: answer the resume with the closing stats
-			// so a site that crashed at the finish line still gets them.
-			c.writeFrame(frameResumeAck, encodeResumeAck(resumeAck{
-				Epoch:      co.epoch,
-				SiteEvents: uint64(co.siteEvents(id)),
-				Flags:      resumeRunComplete | resumeSiteDone,
-			}))
-			c.writeFrame(frameStats, encodeStats(co.LiveStats().Stats))
-			c.flush()
-		}
-		raw.Close()
-		return
-	}
-
-	// Attach the connection: a lingering previous connection for the id is
-	// superseded (latest wins — its reader stands down via the generation).
-	co.mu.Lock()
-	slot := &co.slots[id]
-	if slot.raw != nil {
-		slot.raw.Close()
-	}
-	slot.raw, slot.c = raw, c
-	slot.via = nil
-	slot.gen++
-	gen := slot.gen
-	done, events := slot.done, slot.events
-	co.mu.Unlock()
-
-	// The handshake is done: widen the read limit from the control-frame
-	// bound to the largest update frame the layout admits (or the largest
-	// struct-stats frame, when structure learning is on and those are
-	// bigger).
-	c.setReadLimit(co.innerFrameCap())
-
-	var reply error
-	slot.wmu.Lock()
-	switch t {
-	case frameHello:
-		// Fresh join or a restarted site process rejoining from scratch: it
-		// gets the same deterministic StartConfig and replays its stream
-		// from event 0. Its reported row is deliberately kept — counts are
-		// monotone and the replayed reports max-merge idempotently.
-		reply = c.writeFrame(frameStart, encodeStart(co.startConfigFor(id)))
-	case frameResume:
-		ack := resumeAck{Epoch: co.epoch, SiteEvents: uint64(events)}
-		if done {
-			ack.Flags |= resumeSiteDone
-		}
-		reply = c.writeFrame(frameResumeAck, encodeResumeAck(ack))
-	}
-	if reply == nil {
-		reply = c.flush()
-	}
-	slot.wmu.Unlock()
-	if reply != nil {
-		co.detach(id, gen)
-		return
-	}
-	go func() {
-		err := co.serveSite(c, id)
-		if err == nil {
-			// Done accepted: the connection stays attached, idle, so the
-			// closing stats can reach the site.
-			return
-		}
-		co.detach(id, gen)
-	}()
-}
-
-// startConfigFor builds the deterministic StartConfig for one site id —
-// shared by the direct handshake and the relay-forwarded join path.
+// startConfigFor builds the deterministic StartConfig for one site id.
 func (co *Coordinator) startConfigFor(id uint32) StartConfig {
 	start := StartConfig{
 		NetName:       co.cfg.NetName,
@@ -802,128 +618,117 @@ func (co *Coordinator) startConfigFor(id uint32) StartConfig {
 	return start
 }
 
-// innerFrameCap is the largest site-level frame payload the layout admits —
-// the read limit for a direct site connection, and the per-group inner bound
-// for relay connections.
-func (co *Coordinator) innerFrameCap() uint32 {
-	limit := updatesPayloadCap(co.layout.NumCounters())
-	if co.structs != nil {
-		if sl := structPayloadCap(co.structs.layout.Cells()); sl > limit {
-			limit = sl
-		}
-	}
-	return limit
+// relayStart is the base configuration a relay derives its fold layout
+// from: a site's StartConfig with Site and Events, meaningless for a relay,
+// zeroed.
+func (co *Coordinator) relayStart() StartConfig {
+	base := co.startConfigFor(0)
+	base.Site, base.Events = 0, 0
+	return base
 }
 
-// detach marks a site disconnected (if gen still identifies the current
-// connection) and arms the reconnect-grace timer.
-func (co *Coordinator) detach(id uint32, gen uint64) {
-	co.mu.Lock()
-	slot := &co.slots[id]
-	if slot.gen != gen {
-		co.mu.Unlock()
-		return // a newer connection has already taken over
+// fail ends the run on a fatal session error.
+func (co *Coordinator) fail(err error) { co.finish(err) }
+
+// join is the coordinator's side of every membership event, direct or
+// relay-forwarded alike.
+func (co *Coordinator) join(p *peer, site uint32, kind byte, inner []byte) error {
+	switch kind {
+	case relayJoinHello, relayJoinResume, relayJoinReattach:
+		if kind == relayJoinResume {
+			if _, err := decodeResume(inner); err != nil {
+				return err
+			}
+		}
+		if over, ferr := co.finished(); over {
+			if ferr == nil && kind == relayJoinResume {
+				// Run already complete: answer the resume with the closing
+				// stats so a site that crashed at the finish line still
+				// gets them (best effort: a failed send only means the
+				// site resumes again).
+				p.send(site, frameResumeAck, encodeResumeAck(resumeAck{
+					Epoch:      co.epoch,
+					SiteEvents: uint64(co.s.slots.get(site).events),
+					Flags:      resumeRunComplete | resumeSiteDone,
+				}))
+				p.send(site, frameStats, encodeStats(co.LiveStats().Stats))
+			}
+			return errRunOver
+		}
+		// Latest wins: a lingering previous connection for the id is
+		// superseded.
+		slot := co.s.attach(site, p)
+		switch kind {
+		case relayJoinHello:
+			// Fresh join or a restarted site process rejoining from scratch:
+			// it gets the same deterministic StartConfig and replays its
+			// stream from event 0. Its reported row is deliberately kept —
+			// counts are monotone and the replayed reports max-merge
+			// idempotently.
+			return p.send(site, frameStart, encodeStart(co.startConfigFor(site)))
+		case relayJoinResume:
+			ack := resumeAck{Epoch: co.epoch, SiteEvents: uint64(slot.events)}
+			if slot.done {
+				ack.Flags |= resumeSiteDone
+			}
+			return p.send(site, frameResumeAck, encodeResumeAck(ack))
+		}
+		// Reattach: a relay's new upstream connection still carries the
+		// site. No reply; re-routing the slot cancels the grace timer.
+		return nil
+	case relayJoinDone:
+		_, events, err := decodeDone(inner)
+		if err != nil {
+			return err
+		}
+		// Replays and relay-forwarded duplicates deduplicate here.
+		if first, all := co.s.slots.markDone(site, events); first {
+			co.events.Add(events)
+			if all {
+				co.finish(nil)
+			}
+		}
+		return nil
+	case relayJoinDetach:
+		if slot, ok := co.s.slots.detach(site, p); ok {
+			co.armGrace(site, slot)
+		}
+		return nil
 	}
-	if slot.raw != nil {
-		slot.raw.Close()
-	}
-	slot.raw, slot.c, slot.via = nil, nil, nil
-	done := slot.done
-	co.mu.Unlock()
-	co.armGrace(id, gen, done)
+	return fmt.Errorf("cluster: join kind %d for site %d", kind, site)
 }
 
 // armGrace starts the reconnect-grace timer for a site that just lost its
-// connection (direct or relay-routed): the run fails unless the site is back
-// — reconnected directly, or re-forwarded by a relay — before it fires.
-func (co *Coordinator) armGrace(id uint32, gen uint64, done bool) {
-	if done {
+// peer: the run fails unless the site is back — reconnected directly, or
+// re-forwarded by a relay — before it fires. The timer is an owned
+// goroutine that stands down when the run ends.
+func (co *Coordinator) armGrace(site uint32, lost slot) {
+	if lost.done {
 		return // nothing more expected from this site
 	}
 	if over, _ := co.finished(); over {
 		return
 	}
 	grace := co.cfg.grace()
-	time.AfterFunc(grace, func() {
-		co.mu.Lock()
-		slot := &co.slots[id]
-		expired := slot.gen == gen && slot.raw == nil && slot.via == nil && !slot.done
-		co.mu.Unlock()
-		if expired {
-			co.finish(fmt.Errorf("cluster: site %d disconnected and did not reconnect within %v", id, grace))
+	co.s.spawn(func() {
+		t := time.NewTimer(grace)
+		defer t.Stop()
+		select {
+		case <-co.finishCh:
+			return
+		case <-t.C:
+		}
+		if cur := co.s.slots.get(site); cur.gen == lost.gen && cur.peer == nil && !cur.done {
+			co.finish(fmt.Errorf("cluster: site %d disconnected and did not reconnect within %v", site, grace))
 		}
 	})
 }
 
-// siteEvents returns the recorded event count for a site (0 until Done).
-func (co *Coordinator) siteEvents(id uint32) int64 {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return co.slots[id].events
-}
-
-// serveSite consumes one site connection's frames until its Done marker,
-// decoding both the version-1 per-event format and the version-2 coalesced
-// format (a protocol-v3 resume replay arrives as an ordinary frameUpdates2).
-// A nil return means Done; any error means the connection is dead or spoke
-// garbage — the caller detaches it and the site is expected to come back.
-func (co *Coordinator) serveSite(c *conn, site uint32) error {
-	var ups []Update
-	buckets := make([][]Update, len(co.stripes)) // per-stripe scratch, reused across frames
-	for {
-		t, payload, err := c.readFrame()
-		if err != nil {
-			return fmt.Errorf("cluster: site %d stream: %w", site, err)
-		}
-		co.noteFrame()
-		switch t {
-		case frameUpdates:
-			ups, err = decodeUpdates(ups, payload)
-			if err != nil {
-				return err
-			}
-			if err := co.applyUpdates(site, ups, buckets); err != nil {
-				return err
-			}
-			co.updates.Add(int64(len(ups)))
-		case frameUpdates2:
-			ups, err = decodeUpdates2(ups, payload, co.layout.NumCounters())
-			if err != nil {
-				return err
-			}
-			if err := co.applyUpdates(site, ups, buckets); err != nil {
-				return err
-			}
-			co.updates.Add(int64(len(ups)))
-		case frameStructStats:
-			if co.structs == nil {
-				return fmt.Errorf("cluster: site %d sent struct stats but structure learning is off", site)
-			}
-			var siteEvents uint64
-			siteEvents, ups, err = decodeStructStats(ups, payload, co.structs.layout.Cells())
-			if err != nil {
-				return err
-			}
-			co.structs.apply(site, siteEvents, ups)
-		case frameDone:
-			_, events, err := decodeDone(payload)
-			if err != nil {
-				return err
-			}
-			co.handleDone(site, events)
-			return nil
-		default:
-			return fmt.Errorf("cluster: site %d unexpected frame %d", site, t)
-		}
-	}
-}
-
-// noteFrame records one received frame: the run clock, the frame counter,
-// the chaos crash hook and the checkpoint cadence. Shared by the per-site
-// readers and the relay readers — a relay frame carrying a whole tier's
-// folded windows counts once, which is exactly the root-load reduction the
-// aggregation tree buys.
-func (co *Coordinator) noteFrame() {
+// frame records one received frame: the run clock, the frame counter, the
+// chaos crash hook and the checkpoint cadence. A relay frame carrying a
+// whole tier's folded windows counts once, which is exactly the root-load
+// reduction the aggregation tree buys.
+func (co *Coordinator) frame() {
 	now := time.Now().UnixNano()
 	co.firstNs.CompareAndSwap(0, now)
 	co.lastNs.Store(now)
@@ -931,7 +736,7 @@ func (co *Coordinator) noteFrame() {
 	if co.CrashAfterFrames > 0 && n == co.CrashAfterFrames {
 		// Synchronous: the kill must win the race against a finishing
 		// run, or a seeded kill point near the end becomes flaky.
-		co.Close()
+		co.stop()
 	}
 	if co.ckptEvery > 0 && n%co.ckptEvery == 0 {
 		select {
@@ -941,34 +746,19 @@ func (co *Coordinator) noteFrame() {
 	}
 }
 
-// handleDone records a site's Done marker exactly once (replays and
-// relay-forwarded duplicates deduplicate here) and finishes the run when
-// every site has reported.
-func (co *Coordinator) handleDone(site uint32, events int64) {
-	co.mu.Lock()
-	slot := &co.slots[site]
-	allDone := false
-	if !slot.done {
-		slot.done = true
-		slot.events = events
-		co.events.Add(events)
-		co.doneCount++
-		allDone = co.doneCount == len(co.slots)
-	}
-	co.mu.Unlock()
-	if allDone {
-		co.finish(nil)
-	}
+// foldStruct folds one site's structure statistics into the overlay.
+func (co *Coordinator) foldStruct(site uint32, siteEvents uint64, ups []Update) error {
+	return co.structs.apply(site, siteEvents, ups)
 }
 
-// applyUpdates folds one decoded frame into the reported matrix: one pass
-// buckets the frame's updates by stripe (buckets is the caller's reusable
-// per-stripe scratch), then each touched stripe is locked once, applied in
-// ascending stripe order, and has its version bumped. Reports are monotone
-// local counts; the maximum is kept to stay robust to reordering within a
-// stream — the same property that makes resume replays and duplicated
-// frames idempotent.
-func (co *Coordinator) applyUpdates(site uint32, ups []Update, buckets [][]Update) error {
+// fold folds one decoded frame into the reported matrix: one pass buckets
+// the frame's updates by stripe, then each touched stripe is locked once,
+// applied in ascending stripe order, and has its version bumped. Reports are
+// monotone local counts; the maximum is kept to stay robust to reordering
+// within a stream — the same property that makes resume replays and
+// duplicated frames idempotent. The rows keep their own loop rather than a
+// maxVec each: the stripe locks, not a per-site lock, guard them.
+func (co *Coordinator) fold(site uint32, ups []Update) error {
 	lo, hi := co.ownLo, co.ownHi
 	for _, u := range ups {
 		if u.Counter < lo || u.Counter >= hi {
@@ -977,24 +767,22 @@ func (co *Coordinator) applyUpdates(site uint32, ups []Update, buckets [][]Updat
 	}
 	row := co.reported[site]
 	nStripes := uint32(len(co.stripes))
-	if nStripes == 1 {
-		st := &co.stripes[0]
-		st.mu.Lock()
-		for _, u := range ups {
-			if u.LocalCount > row[u.Counter-lo] {
-				row[u.Counter-lo] = u.LocalCount
-			}
+	single := [1][]Update{ups}
+	buckets := single[:]
+	if nStripes > 1 {
+		bp, _ := co.buckets.Get().(*[][]Update)
+		if bp == nil {
+			b := make([][]Update, nStripes)
+			bp = &b
 		}
-		st.version.Add(1)
-		st.mu.Unlock()
-		return nil
+		defer co.buckets.Put(bp)
+		buckets = *bp
+		for _, u := range ups {
+			s := u.Counter % nStripes
+			buckets[s] = append(buckets[s], u)
+		}
 	}
-	for _, u := range ups {
-		s := u.Counter % nStripes
-		buckets[s] = append(buckets[s], u)
-	}
-	for s := range buckets {
-		b := buckets[s]
+	for s, b := range buckets {
 		if len(b) == 0 {
 			continue
 		}
@@ -1009,41 +797,30 @@ func (co *Coordinator) applyUpdates(site uint32, ups []Update, buckets [][]Updat
 		st.mu.Unlock()
 		buckets[s] = b[:0]
 	}
+	co.updates.Add(int64(len(ups)))
 	return nil
 }
 
-// stripeOf returns the stripe guarding counter id.
-func (co *Coordinator) stripeOf(id uint32) *coStripe {
-	return &co.stripes[id%uint32(len(co.stripes))]
-}
-
-// estimateLocked computes counter id's estimate from the reported matrix:
-// the sum over sites of the last reported local count plus the trailing-gap
-// adjustment (see layout.go). Callers hold id's stripe lock and guarantee id
-// is owned.
-func (co *Coordinator) estimateLocked(id uint32) float64 {
-	eps := co.layout.Eps(id)
-	est := 0.0
-	for site := 0; site < co.cfg.Sites; site++ {
-		r := co.reported[site][id-co.ownLo]
-		est += float64(r) + adjustmentSqrtK(co.cfg.Sites, co.sqrtK, eps, r)
-	}
-	return est
-}
-
 // Estimate returns the coordinator's current estimate of a counter's global
-// count, read live under the counter's stripe lock. Valid at any time —
-// during a run it reflects the reports received so far. On a striped
-// coordinator only owned ids have state; an unowned id estimates 0 (query
-// through Federation to scatter-gather across the stripes).
+// count — the sum over sites of the last reported local count plus the
+// trailing-gap adjustment (see layout.go) — read live under the counter's
+// stripe lock. Valid at any time: during a run it reflects the reports
+// received so far. On a striped coordinator only owned ids have state; an
+// unowned id estimates 0 (query through Federation to scatter-gather across
+// the stripes).
 func (co *Coordinator) Estimate(id uint32) float64 {
 	if id < co.ownLo || id >= co.ownHi {
 		return 0
 	}
-	st := co.stripeOf(id)
+	st := &co.stripes[id%uint32(len(co.stripes))]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return co.estimateLocked(id)
+	eps, est := co.layout.Eps(id), 0.0
+	for _, row := range co.reported {
+		r := row[id-co.ownLo]
+		est += float64(r) + adjustmentSqrtK(co.cfg.Sites, co.sqrtK, eps, r)
+	}
+	return est
 }
 
 // snapFresh reports whether snap matches every stripe's live version.
@@ -1097,7 +874,7 @@ func (co *Coordinator) snapshot() *estSnapshot {
 		// Site-major walk: one pass per site row keeps the reads contiguous
 		// within a row instead of striding across every site's row once per
 		// counter. Accumulation order (site 0..k-1 from zero) matches
-		// estimateLocked's, so both paths stay bit-identical.
+		// Estimate's, so both paths stay bit-identical.
 		if nStripes == 1 {
 			// The single stripe owns every owned id: walk the layout's
 			// equal-eps sections, clipped to the owned range, so the per-id
@@ -1162,17 +939,7 @@ func (co *Coordinator) snapshot() *estSnapshot {
 // reflects the reports received so far — the paper's query-at-any-time
 // model — and after Serve returns it is the final estimate.
 func (co *Coordinator) QueryProb(x []int) float64 {
-	est := co.snapshot().est
-	p := 1.0
-	for i := 0; i < co.net.Len(); i++ {
-		pidx := co.net.ParentIndex(i, x)
-		den := est[co.layout.ParID(i, pidx)]
-		if den <= 0 {
-			return 0
-		}
-		p *= est[co.layout.PairID(i, x[i], pidx)] / den
-	}
-	return p
+	return queryEstimates(co.net, co.layout, co.snapshot().est, x)
 }
 
 // EstimatedModel materializes the tracked parameters into a normalized
@@ -1181,33 +948,7 @@ func (co *Coordinator) QueryProb(x []int) float64 {
 // parent configuration has no mass become uniform. Valid at any time, like
 // QueryProb.
 func (co *Coordinator) EstimatedModel() (*bn.Model, error) {
-	return co.modelFor(co.snapshot())
-}
-
-// modelFor returns snap's cached normalized model, building and publishing
-// it on first use — shared by EstimatedModel and the serving layer's
-// Snapshot.Model.
-func (co *Coordinator) modelFor(snap *estSnapshot) (*bn.Model, error) {
-	if m := snap.model.Load(); m != nil {
-		return m, nil
-	}
-	est := snap.est
-	m, err := bn.NewNormalizedModel(co.net, func(i int, tbl []float64) {
-		j, k := co.net.Card(i), co.net.ParentCard(i)
-		for pidx := 0; pidx < k; pidx++ {
-			den := est[co.layout.ParID(i, pidx)]
-			for v := 0; v < j; v++ {
-				if den > 0 {
-					tbl[pidx*j+v] = est[co.layout.PairID(i, v, pidx)] / den
-				}
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	snap.model.Store(m)
-	return m, nil
+	return co.snapshot().modelFor(co.net, co.layout)
 }
 
 // RunStats is LiveStats' full point-in-time view of a run: the protocol
@@ -1244,237 +985,3 @@ func (co *Coordinator) Network() *bn.Network { return co.net }
 // StructLearning reports whether the structure-learning overlay is on for
 // this run (Config.StructBatchEvents > 0).
 func (co *Coordinator) StructLearning() bool { return co.structs != nil }
-
-// relayLink is one relay's upstream connection as the coordinator (or a
-// mid-tier relay acting as parent) sees it: a single TCP connection carrying
-// many sites' traffic. Control replies for those sites travel down it
-// wrapped in frameRelayCtl frames.
-type relayLink struct {
-	raw net.Conn
-	c   *conn
-	// wmu serializes writers: ctl replies from the relay reader race the
-	// closing stats broadcast.
-	wmu sync.Mutex
-}
-
-// serveRelay drives one relay connection: it answers the relay's hello with
-// the base run configuration, admits the wrapped per-site joins the relay
-// forwards, folds the relay's grouped per-site update frames — one frame
-// for a whole tier of sites, which is the point of the aggregation tree:
-// the root's frame rate divides by the relay's branching factor — and
-// routes control replies back down wrapped in frameRelayCtl. Runs on the
-// accepted connection's goroutine until the connection dies; a dead relay
-// link detaches every site it carried (grace timers arm exactly as for a
-// direct disconnect — the relay reconnecting, or its sites re-resuming
-// through a restarted relay, heals the run).
-func (co *Coordinator) serveRelay(raw net.Conn, c *conn, relayID uint32) {
-	link := &relayLink{raw: raw, c: c}
-
-	// The relay derives its fold layout from the same deterministic base
-	// config a site would get; Site and Events are meaningless for a relay
-	// and zeroed.
-	base := co.startConfigFor(0)
-	base.Site, base.Events = 0, 0
-	link.wmu.Lock()
-	err := c.writeFrame(frameStart, encodeStart(base))
-	if err == nil {
-		err = c.flush()
-	}
-	link.wmu.Unlock()
-	if err != nil {
-		raw.Close()
-		return
-	}
-
-	innerCap := co.innerFrameCap()
-	c.setReadLimit(relayPayloadCap(uint32(co.cfg.Sites), innerCap))
-
-	// Any error — connection death or garbage — detaches the relay's sites;
-	// like a direct site connection, the peer is expected to come back.
-	_ = co.relayLoop(link, innerCap, relayID)
-	co.detachRelay(link)
-	raw.Close()
-}
-
-// relayLoop consumes one relay connection's frames until it dies.
-func (co *Coordinator) relayLoop(link *relayLink, innerCap uint32, relayID uint32) error {
-	var ups []Update
-	var groups []relayGroup
-	buckets := make([][]Update, len(co.stripes))
-	for {
-		t, payload, err := link.c.readFrame()
-		if err != nil {
-			return fmt.Errorf("cluster: relay %d stream: %w", relayID, err)
-		}
-		co.noteFrame()
-		switch t {
-		case frameRelayJoin:
-			site, kind, inner, err := decodeRelayWrapped(payload)
-			if err != nil {
-				return err
-			}
-			if site >= uint32(co.cfg.Sites) {
-				return fmt.Errorf("cluster: relay %d forwarded site id %d out of range", relayID, site)
-			}
-			if err := co.handleRelayJoin(link, site, kind, inner); err != nil {
-				return err
-			}
-		case frameRelayUpdates:
-			groups, err = decodeRelayGroups(groups, payload, uint32(co.cfg.Sites), innerCap)
-			if err != nil {
-				return err
-			}
-			for _, g := range groups {
-				ups, err = decodeUpdates2(ups, g.Payload, co.layout.NumCounters())
-				if err != nil {
-					return err
-				}
-				if err := co.applyUpdates(g.Site, ups, buckets); err != nil {
-					return err
-				}
-				co.updates.Add(int64(len(ups)))
-			}
-		case frameRelayStruct:
-			if co.structs == nil {
-				return fmt.Errorf("cluster: relay %d sent struct stats but structure learning is off", relayID)
-			}
-			groups, err = decodeRelayGroups(groups, payload, uint32(co.cfg.Sites), innerCap)
-			if err != nil {
-				return err
-			}
-			for _, g := range groups {
-				var siteEvents uint64
-				siteEvents, ups, err = decodeStructStats(ups, g.Payload, co.structs.layout.Cells())
-				if err != nil {
-					return err
-				}
-				co.structs.apply(g.Site, siteEvents, ups)
-			}
-		default:
-			return fmt.Errorf("cluster: relay %d unexpected frame %d", relayID, t)
-		}
-	}
-}
-
-// handleRelayJoin processes one wrapped site join forwarded by a relay —
-// the relay-routed mirror of the direct handshake in handleConn.
-func (co *Coordinator) handleRelayJoin(link *relayLink, site uint32, kind byte, inner []byte) error {
-	writeCtl := func(innerType byte, payload []byte) error {
-		link.wmu.Lock()
-		defer link.wmu.Unlock()
-		if err := link.c.writeFrame(frameRelayCtl, encodeRelayWrapped(site, innerType, payload)); err != nil {
-			return err
-		}
-		return link.c.flush()
-	}
-	switch kind {
-	case relayJoinHello:
-		if over, _ := co.finished(); over {
-			// Nothing left to start; a site that still wants the closing
-			// stats resumes instead.
-			return nil
-		}
-		co.attachVia(site, link)
-		return writeCtl(frameStart, encodeStart(co.startConfigFor(site)))
-	case relayJoinResume:
-		if _, err := decodeResume(inner); err != nil {
-			return err
-		}
-		if over, ferr := co.finished(); over {
-			if ferr != nil {
-				return nil
-			}
-			// Run already complete: ack with the closing stats, as on a
-			// direct post-run resume.
-			if err := writeCtl(frameResumeAck, encodeResumeAck(resumeAck{
-				Epoch:      co.epoch,
-				SiteEvents: uint64(co.siteEvents(site)),
-				Flags:      resumeRunComplete | resumeSiteDone,
-			})); err != nil {
-				return err
-			}
-			return writeCtl(frameStats, encodeStats(co.LiveStats().Stats))
-		}
-		done, events := co.attachVia(site, link)
-		ack := resumeAck{Epoch: co.epoch, SiteEvents: uint64(events)}
-		if done {
-			ack.Flags |= resumeSiteDone
-		}
-		return writeCtl(frameResumeAck, encodeResumeAck(ack))
-	case relayJoinReattach:
-		// The relay's upstream connection was re-established with this site
-		// still attached below it; no reply — re-routing the slot cancels
-		// the grace timer.
-		if over, _ := co.finished(); over {
-			return nil
-		}
-		co.attachVia(site, link)
-		return nil
-	case relayJoinDone:
-		_, events, err := decodeDone(inner)
-		if err != nil {
-			return err
-		}
-		co.handleDone(site, events)
-		return nil
-	case relayJoinDetach:
-		co.detachViaSite(link, site)
-		return nil
-	default:
-		return fmt.Errorf("cluster: relay join kind %d for site %d", kind, site)
-	}
-}
-
-// attachVia routes a site slot through a relay link, superseding any direct
-// connection, and returns the slot's completion state.
-func (co *Coordinator) attachVia(site uint32, link *relayLink) (done bool, events int64) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	slot := &co.slots[site]
-	if slot.raw != nil {
-		slot.raw.Close()
-	}
-	slot.raw, slot.c = nil, nil
-	slot.via = link
-	slot.gen++
-	return slot.done, slot.events
-}
-
-// detachViaSite marks one relay-routed site disconnected (the relay reported
-// its downstream connection died) and arms its grace timer.
-func (co *Coordinator) detachViaSite(link *relayLink, site uint32) {
-	co.mu.Lock()
-	slot := &co.slots[site]
-	if slot.via != link {
-		co.mu.Unlock()
-		return // superseded by a direct reconnect or another relay
-	}
-	slot.via = nil
-	gen, done := slot.gen, slot.done
-	co.mu.Unlock()
-	co.armGrace(site, gen, done)
-}
-
-// detachRelay marks every site routed through a dead relay link
-// disconnected and arms their grace timers: the relay must reconnect (or
-// its sites re-resume through a restarted one) within the grace.
-func (co *Coordinator) detachRelay(link *relayLink) {
-	type lost struct {
-		id   uint32
-		gen  uint64
-		done bool
-	}
-	var ps []lost
-	co.mu.Lock()
-	for i := range co.slots {
-		slot := &co.slots[i]
-		if slot.via == link {
-			slot.via = nil
-			ps = append(ps, lost{uint32(i), slot.gen, slot.done})
-		}
-	}
-	co.mu.Unlock()
-	for _, p := range ps {
-		co.armGrace(p.id, p.gen, p.done)
-	}
-}

@@ -16,6 +16,7 @@ import (
 // regenerates the identical stream and report decisions, so every merged
 // estimate equals the flat coordinator's.
 func TestFederationBitIdenticalToFlat(t *testing.T) {
+	checkGoroutines(t)
 	for _, batch := range []int{0, 250} {
 		cfg := Config{
 			NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.NonUniform,
@@ -73,6 +74,7 @@ func TestFederationBitIdenticalToFlat(t *testing.T) {
 // layer consumes: factors match the merged estimates, versions are monotone,
 // and the structure epoch is pinned at 0.
 func TestFederationSnapshotSurface(t *testing.T) {
+	checkGoroutines(t)
 	cfg := Config{
 		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.ExactMLE,
 		Sites: 3, Events: 3000, StreamSeed: 43,
@@ -144,6 +146,7 @@ func TestStripedConfigValidation(t *testing.T) {
 // story extended to striped owners (rows are compact but checkpoints store
 // absolute counter ids, so they are self-describing).
 func TestStripedCheckpointRestore(t *testing.T) {
+	checkGoroutines(t)
 	cfg := Config{
 		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.NonUniform,
 		Eps: 0.1, Delta: 0.25, Sites: 4, Events: 12000, StreamSeed: 47,

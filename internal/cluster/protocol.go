@@ -79,7 +79,8 @@
 //     and a connection error can never re-draw a consumed sample.
 //  3. Checkpoints are a consistent lower bound of the run: the DBCLUS01
 //     file (checkpoint.go) is cadenced on received frames (deterministic,
-//     not wall clock), written atomically (temp file + rename), and the
+//     not wall clock), written atomically and durably (fsynced temp file,
+//     rename, fsynced directory), and the
 //     restored matrix is raised to the exact uninterrupted state by resume
 //     replays. A coordinator killed at any frame therefore converges after
 //     restore, and the estimates match the uninterrupted run bit for bit
@@ -95,6 +96,30 @@
 // and a reconnect grace window on the coordinator side
 // (Config.ReconnectGrace): a run only fails once a site stays gone past the
 // grace or stops making progress entirely.
+//
+// # Session core and goroutine ownership
+//
+// The coordinator and the relay run one connection layer (session.go).
+// Each accepted connection is a peer: a site dialing directly, or a relay
+// carrying a whole subtree, whose control replies travel down wrapped in
+// frameRelayCtl (peer.send wraps when needed). One handshake and read loop
+// turns direct hello/resume/updates/updates2/struct/done frames and relay
+// join/updates/struct groups into the same calls on the role: join for
+// every membership event (hello, resume, reattach, Done, detach — a dead
+// direct peer detaches its site, a dead relay every site it carried), fold
+// and foldStruct for data. A per-site slot table (current peer, generation,
+// done flag, events; the latest attach wins, a detach only clears its own
+// peer) serves both the coordinator's reconnect-grace timers and the
+// relay's flush-round accounting, and one monotone max-merge vector
+// (maxVec) is the fold of the relay tier and of the structure overlay.
+//
+// The session owns every goroutine it or its role starts: the accept loop,
+// the peer readers, the coordinator's checkpoint writer and grace timers,
+// the relay's flusher and upstream reader. Close closes the listener and
+// every connection and then joins them all, so nothing — a checkpoint
+// write included — runs after Close returns. The coordinator's
+// CrashAfterFrames hook stops the session from inside a peer reader
+// without waiting; Serve then joins before returning ErrCoordinatorClosed.
 package cluster
 
 import (
@@ -248,14 +273,13 @@ const maxControlFrame = 1 << 12
 // (≤ n entries of 12 bytes); a version-2 frame coalesces a window to at
 // most n entries of ≤ 15 varint bytes plus the count header.
 func updatesPayloadCap(numCounters uint32) uint32 {
-	cap := uint64(binary.MaxVarintLen32) + uint64(numCounters)*(binary.MaxVarintLen32+binary.MaxVarintLen64)
-	if cap > maxFrame {
-		return maxFrame
-	}
-	if cap < maxControlFrame {
-		return maxControlFrame // keep room for the done frame
-	}
-	return uint32(cap)
+	return clampCap(uint64(binary.MaxVarintLen32) + uint64(numCounters)*(binary.MaxVarintLen32+binary.MaxVarintLen64))
+}
+
+// clampCap bounds a payload cap to [maxControlFrame, maxFrame]: every
+// connection keeps room for the control frames (the done frame above all).
+func clampCap(cap uint64) uint32 {
+	return uint32(min(max(cap, maxControlFrame), maxFrame))
 }
 
 // structPayloadCap is the largest well-formed frameStructStats payload for a
@@ -263,15 +287,8 @@ func updatesPayloadCap(numCounters uint32) uint32 {
 // updatesPayloadCap, used to widen a connection's read limit when structure
 // learning is on.
 func structPayloadCap(numCells uint32) uint32 {
-	cap := uint64(binary.MaxVarintLen64) + uint64(binary.MaxVarintLen32) +
-		uint64(numCells)*(binary.MaxVarintLen32+binary.MaxVarintLen64)
-	if cap > maxFrame {
-		return maxFrame
-	}
-	if cap < maxControlFrame {
-		return maxControlFrame
-	}
-	return uint32(cap)
+	return clampCap(uint64(binary.MaxVarintLen64) + uint64(binary.MaxVarintLen32) +
+		uint64(numCells)*(binary.MaxVarintLen32+binary.MaxVarintLen64))
 }
 
 // Update is one counter update entry inside a frameUpdates frame.
@@ -280,6 +297,17 @@ type Update struct {
 	Counter uint32
 	// LocalCount is the site's current local count for the counter.
 	LocalCount int64
+}
+
+// appendNonzero appends one Update per nonzero entry of counts, ids
+// ascending from base.
+func appendNonzero(dst []Update, counts []int64, base uint32) []Update {
+	for i, n := range counts {
+		if n != 0 {
+			dst = append(dst, Update{Counter: base + uint32(i), LocalCount: n})
+		}
+	}
+	return dst
 }
 
 // StartConfig is the run configuration shipped to every site.
@@ -396,6 +424,14 @@ func (c *conn) writeFrame(t byte, payload []byte) error {
 }
 
 func (c *conn) flush() error { return c.w.Flush() }
+
+// send writes one frame and flushes it.
+func (c *conn) send(t byte, payload []byte) error {
+	if err := c.writeFrame(t, payload); err != nil {
+		return err
+	}
+	return c.flush()
+}
 
 func (c *conn) readFrame() (byte, []byte, error) {
 	var hdr [5]byte
@@ -904,13 +940,5 @@ func decodeRelayGroups(dst []relayGroup, b []byte, maxSites, innerCap uint32) ([
 // grouped mirror of updatesPayloadCap, used to widen a relay-carrying
 // connection's read limit.
 func relayPayloadCap(numSites, innerCap uint32) uint32 {
-	cap := uint64(binary.MaxVarintLen32) +
-		uint64(numSites)*(2*binary.MaxVarintLen32+uint64(innerCap))
-	if cap > maxFrame {
-		return maxFrame
-	}
-	if cap < maxControlFrame {
-		return maxControlFrame
-	}
-	return uint32(cap)
+	return clampCap(uint64(binary.MaxVarintLen32) + uint64(numSites)*(2*binary.MaxVarintLen32+uint64(innerCap)))
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"distbayes/internal/bn"
 	"distbayes/internal/core"
 	"distbayes/internal/netgen"
 )
@@ -41,56 +40,6 @@ type RelayConfig struct {
 	RetryBase, RetryCap time.Duration
 }
 
-// relayDown is one downstream connection: a site, or a child relay carrying
-// many sites.
-type relayDown struct {
-	raw net.Conn
-	c   *conn
-	// isRelay marks a child-relay connection: control frames going down are
-	// wrapped in frameRelayCtl instead of written raw.
-	isRelay bool
-	// wmu serializes writers (ctl deliveries race each other).
-	wmu sync.Mutex
-}
-
-// relaySiteState is the relay's folded view of one downstream site. The fold
-// is the coordinator's idempotent max-merge over the site's monotone counts,
-// applied mid-tier: the folded vector always equals the site's latest
-// decided report per counter, so fold-then-forward cannot change any final
-// estimate. Per-site vectors are never mixed across sites — the coordinator's
-// trailing-gap adjustment is nonlinear per site, so summing children would
-// change estimates; coalescing happens at the frame level (many sites, one
-// grouped frame), not the counter level.
-type relaySiteState struct {
-	// known marks a site id the relay has seen traffic for.
-	known bool
-	// counts[id] is the folded latest reported local count (lazily sized to
-	// the layout on first contact).
-	counts []int64
-	// dirty[id] marks counts mutated since the last upstream flush; dirtyAny
-	// short-circuits clean sites.
-	dirty    []bool
-	dirtyAny bool
-	// Structure-learning overlay fold (sized lazily; unused when off).
-	structCounts []int64
-	structDirty  []bool
-	structAny    bool
-	structEvents uint64
-	// down is the current downstream connection carrying this site (nil
-	// while disconnected). Many sites may share one child-relay connection.
-	down *relayDown
-	// pending is the site's last join (hello/resume) still awaiting the
-	// parent's ctl reply; re-forwarded if the upstream connection is
-	// replaced first, so a join can never be lost in a reconnect window.
-	pendingKind  byte
-	pendingInner []byte
-	hasPending   bool
-	// done/doneEvents record a forwarded Done marker, re-forwarded on every
-	// upstream reconnect (the coordinator deduplicates).
-	done       bool
-	doneEvents int64
-}
-
 // Relay is a mid-tier node of the aggregation tree (the sensor-network
 // collaborative-training architecture): downstream it speaks the
 // coordinator's side of the site protocol — sites (and deeper relays) dial
@@ -111,32 +60,40 @@ type relaySiteState struct {
 // killed and restarted relay comes back empty and is repopulated by its
 // sites' own resume replays. Both paths land in the coordinator's max-merge,
 // so chaos on a relay link costs retransmitted frames, never accuracy.
+//
+// Downstream, the relay runs the same session core as the coordinator
+// (session.go); its role is to bookkeep each join, forward it upstream and
+// route the parent's reply back down, and to fold data frames into per-site
+// max-merge vectors (maxVec) that a flusher ships upstream.
 type Relay struct {
 	cfg RelayConfig
-	ln  net.Listener
+	// s is the downstream connection layer and the owner of every relay
+	// goroutine, Run's included.
+	s *session
 
-	// Immutable after Run's first upstream handshake.
-	base        StartConfig
-	layout      *Layout
-	structCells uint32
-	innerCap    uint32
+	// base is the run's base configuration, fixed by Run's first upstream
+	// handshake.
+	base StartConfig
 
-	// mu guards sites and active.
-	mu    sync.Mutex
-	sites []relaySiteState
-	// active counts attached, not-done downstream sites — the flush round
-	// size.
-	active int
+	// mu guards the folded per-site state: counter and structure vectors,
+	// and each site's pending join — its last hello/resume still awaiting
+	// the parent's reply, re-forwarded if the upstream connection is
+	// replaced first, so a join can never be lost in a reconnect window.
+	mu      sync.Mutex
+	counts  []maxVec
+	structs []maxVec
+	pending []pendingJoin
 
-	// upMu serializes upstream writers; up is nil between a connection loss
-	// and the reconnect.
+	// upMu serializes upstream writers; up/upRaw is the current upstream
+	// connection, replaced on reconnect.
 	upMu  sync.Mutex
 	up    *conn
 	upRaw net.Conn
 	upBuf []byte
 
 	// framesSinceFlush counts downstream data frames folded since the last
-	// upstream flush; a flush round is ready once it reaches active.
+	// upstream flush; a flush round is ready once it reaches the number of
+	// active downstream sites.
 	framesSinceFlush atomic.Int64
 	flushReq         chan struct{}
 
@@ -145,10 +102,13 @@ type Relay struct {
 	// federation benchmark.
 	DownFrames atomic.Int64
 	UpFrames   atomic.Int64
+}
 
-	closed    atomic.Bool
-	closeOnce sync.Once
-	done      chan struct{}
+// pendingJoin is a join awaiting the parent's reply (ok false: none).
+type pendingJoin struct {
+	kind  byte
+	inner []byte
+	ok    bool
 }
 
 // NewRelay validates cfg and starts listening on addr (use "127.0.0.1:0" in
@@ -162,152 +122,100 @@ func NewRelay(cfg RelayConfig, addr string) (*Relay, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Relay{
-		cfg:      cfg,
-		ln:       ln,
-		flushReq: make(chan struct{}, 1),
-		done:     make(chan struct{}),
-	}, nil
+	r := &Relay{cfg: cfg, flushReq: make(chan struct{}, 1)}
+	r.s = newSession(ln, r)
+	return r, nil
 }
 
 // Addr returns the listening address.
-func (r *Relay) Addr() string { return r.ln.Addr().String() }
+func (r *Relay) Addr() string { return r.s.ln.Addr().String() }
 
 // Close stops the relay: the listener, the upstream connection and every
-// downstream connection are closed. Safe to call at any time and more than
-// once. Sites that were routed through the relay reconnect elsewhere (or to
-// a restarted relay on the same address) and resume.
+// downstream connection are closed, and Close returns once every relay
+// goroutine — Run's included — has exited. Safe to call at any time and
+// more than once. Sites that were routed through the relay reconnect
+// elsewhere (or to a restarted relay on the same address) and resume.
 func (r *Relay) Close() error {
-	r.closeOnce.Do(func() {
-		r.closed.Store(true)
-		close(r.done)
-		r.ln.Close()
-		r.upMu.Lock()
-		if r.upRaw != nil {
-			r.upRaw.Close()
-		}
-		r.upMu.Unlock()
-		r.mu.Lock()
-		for i := range r.sites {
-			if d := r.sites[i].down; d != nil {
-				d.raw.Close()
-			}
-		}
-		r.mu.Unlock()
-	})
+	r.s.stop()
+	r.s.wait()
 	return nil
-}
-
-func (r *Relay) flushInterval() time.Duration {
-	if r.cfg.FlushInterval > 0 {
-		return r.cfg.FlushInterval
-	}
-	return 2 * time.Millisecond
-}
-
-func (r *Relay) dialAttempts() int {
-	if r.cfg.DialAttempts > 0 {
-		return r.cfg.DialAttempts
-	}
-	return 8
-}
-
-func (r *Relay) backoff(n int, jrng *bn.RNG) time.Duration {
-	base, cap := r.cfg.RetryBase, r.cfg.RetryCap
-	if base <= 0 {
-		base = 20 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = time.Second
-	}
-	d := base << uint(min(n, 20))
-	if d > cap || d <= 0 {
-		d = cap
-	}
-	return d + time.Duration(jrng.Float64()*0.5*float64(d))
 }
 
 // Run connects upstream, learns the run's base configuration, and serves the
 // subtree until Close. The upstream connection is supervised: a severed link
 // redials with backoff and replays the relay's full folded state (safe —
 // max-merge absorbs the replay), so a transient parent outage is invisible
-// to the subtree.
+// to the subtree. A parent that stays unreachable past the redial budget
+// ends Run with the error and stops the relay, so its sites fail over.
 func (r *Relay) Run() error {
-	jrng := bn.NewRNG(0x9e1a7bad ^ (uint64(r.cfg.ID) * 0x9e3779b97f4a7c15))
-	if err := r.connectUp(jrng, true); err != nil {
+	if !r.s.enter() {
+		return ErrRelayClosed
+	}
+	defer r.s.wg.Done()
+	defer r.s.stop()
+	b := newBackoff(r.cfg.DialAttempts, r.cfg.RetryBase, r.cfg.RetryCap,
+		0x9e1a7bad^(uint64(r.cfg.ID)*0x9e3779b97f4a7c15))
+	if err := r.connectUp(b, true); err != nil {
 		return err
 	}
-	go r.acceptLoop()
-	go r.flushLoop()
-	return r.upReadLoop(jrng)
+	r.s.spawn(r.s.acceptLoop)
+	r.s.spawn(r.flushLoop)
+	return r.upReadLoop(b)
 }
 
 // connectUp dials the parent, introduces the relay, and decodes the base run
 // configuration. On the first connection it derives the fold layout; later
 // reconnects verify the run still matches.
-func (r *Relay) connectUp(jrng *bn.RNG, first bool) error {
-	var lastErr error
-	for n := 0; n < r.dialAttempts(); n++ {
-		if n > 0 {
-			time.Sleep(r.backoff(n-1, jrng))
-		}
-		if r.closed.Load() {
-			return ErrRelayClosed
+func (r *Relay) connectUp(b *backoff, first bool) error {
+	return b.retry(r.s.done, func() (bool, error) {
+		if r.s.stopped() {
+			return false, ErrRelayClosed
 		}
 		raw, err := net.Dial("tcp", r.cfg.Parent)
 		if err != nil {
-			lastErr = err
-			continue
+			return true, fmt.Errorf("cluster: relay %d dial parent: %w", r.cfg.ID, err)
 		}
-		c := newConn(raw)
-		if err := c.writeFrame(frameRelayHello, encodeHello(r.cfg.ID)); err == nil {
-			err = c.flush()
-		} else {
-			raw.Close()
-			lastErr = err
-			continue
+		if !r.s.track(raw) {
+			return false, ErrRelayClosed
 		}
-		t, payload, err := c.readFrame()
+		again, err := r.handshakeUp(raw, first)
 		if err != nil {
-			raw.Close()
-			lastErr = err
-			continue
+			r.s.drop(raw)
 		}
-		if t != frameStart {
-			raw.Close()
-			return fmt.Errorf("cluster: relay %d got frame %d, want start", r.cfg.ID, t)
-		}
-		base, err := decodeStart(payload)
-		if err != nil {
-			raw.Close()
-			return err
-		}
-		if first {
-			if err := r.initFromBase(base); err != nil {
-				raw.Close()
-				return err
-			}
-		} else if base.NetName != r.base.NetName || base.Sites != r.base.Sites {
-			raw.Close()
-			return fmt.Errorf("cluster: relay %d reconnected to a different run (%s/%d sites, was %s/%d)",
-				r.cfg.ID, base.NetName, base.Sites, r.base.NetName, r.base.Sites)
-		}
-		// Ctl frames wrap small control payloads only; the grouped data
-		// frames travel up, never down.
-		c.setReadLimit(maxControlFrame + 16)
-		r.upMu.Lock()
-		if r.upRaw != nil {
-			r.upRaw.Close()
-		}
-		r.upRaw, r.up = raw, c
-		r.upMu.Unlock()
-		if r.closed.Load() {
-			raw.Close()
-			return ErrRelayClosed
-		}
-		return nil
+		return again, err
+	})
+}
+
+// handshakeUp runs the relay hello on a fresh upstream connection and, on
+// success, installs it as the upstream link.
+func (r *Relay) handshakeUp(raw net.Conn, first bool) (again bool, err error) {
+	c := newConn(raw)
+	payload, terminal, err := handshake(c, frameRelayHello, encodeHello(r.cfg.ID), frameStart)
+	if err != nil {
+		return !terminal, fmt.Errorf("cluster: relay %d dial parent: %w", r.cfg.ID, err)
 	}
-	return fmt.Errorf("cluster: relay %d dial parent: %w", r.cfg.ID, lastErr)
+	base, err := decodeStart(payload)
+	if err != nil {
+		return false, err
+	}
+	if first {
+		if err := r.initFromBase(base); err != nil {
+			return false, err
+		}
+	} else if base.NetName != r.base.NetName || base.Sites != r.base.Sites {
+		return false, fmt.Errorf("cluster: relay %d reconnected to a different run (%s/%d sites, was %s/%d)",
+			r.cfg.ID, base.NetName, base.Sites, r.base.NetName, r.base.Sites)
+	}
+	// Ctl frames wrap small control payloads only; the grouped data frames
+	// travel up, never down.
+	c.setReadLimit(maxControlFrame + 16)
+	r.upMu.Lock()
+	if r.upRaw != nil {
+		r.s.drop(r.upRaw)
+	}
+	r.upRaw, r.up = raw, c
+	r.upMu.Unlock()
+	return false, nil
 }
 
 // initFromBase derives the fold layout from the base run configuration —
@@ -321,40 +229,36 @@ func (r *Relay) initFromBase(base StartConfig) error {
 	if err != nil {
 		return err
 	}
-	r.base = base
-	r.layout = layout
-	r.innerCap = updatesPayloadCap(layout.NumCounters())
+	var cells uint32
 	if base.StructBatchEvents > 0 {
 		sl, err := NewStructLayout(netw)
 		if err != nil {
 			return err
 		}
-		r.structCells = sl.Cells()
-		if sc := structPayloadCap(r.structCells); sc > r.innerCap {
-			r.innerCap = sc
-		}
+		cells = sl.Cells()
 	}
-	r.sites = make([]relaySiteState, base.Sites)
+	r.base = base
+	r.s.setLayout(int(base.Sites), layout.NumCounters(), cells)
+	r.counts = make([]maxVec, base.Sites)
+	r.structs = make([]maxVec, base.Sites)
+	r.pending = make([]pendingJoin, base.Sites)
 	return nil
 }
 
 // upReadLoop owns the upstream read side: it routes ctl frames down to the
 // named site and reconnects (with full replay) when the link dies.
-func (r *Relay) upReadLoop(jrng *bn.RNG) error {
+func (r *Relay) upReadLoop(b *backoff) error {
 	for {
 		r.upMu.Lock()
 		c := r.up
 		r.upMu.Unlock()
-		if c == nil {
-			return ErrRelayClosed
-		}
 		t, payload, err := c.readFrame()
 		if err != nil {
-			if r.closed.Load() {
+			if r.s.stopped() {
 				return nil
 			}
-			if err := r.connectUp(jrng, false); err != nil {
-				if r.closed.Load() {
+			if err := r.connectUp(b, false); err != nil {
+				if r.s.stopped() {
 					return nil
 				}
 				return err
@@ -362,45 +266,30 @@ func (r *Relay) upReadLoop(jrng *bn.RNG) error {
 			r.replayUp()
 			continue
 		}
-		switch t {
-		case frameRelayCtl:
-			site, innerType, inner, err := decodeRelayWrapped(payload)
-			if err != nil || site >= uint32(len(r.sites)) {
-				continue // garbage ctl: drop; the peer validates its own state
-			}
-			r.deliver(site, innerType, inner)
-		default:
+		if t != frameRelayCtl {
 			// Unknown downstream control traffic: ignore (append-only
 			// protocol discipline — a newer parent may know more frames).
+			continue
 		}
+		site, innerType, inner, err := decodeRelayWrapped(payload)
+		if err != nil || site >= uint32(len(r.pending)) {
+			continue // garbage ctl: drop; the peer validates its own state
+		}
+		r.deliver(site, innerType, inner)
 	}
 }
 
-// deliver routes one unwrapped control frame to the site's downstream
-// connection, re-wrapping it when the next hop is a child relay.
+// deliver routes one unwrapped control frame to the site's downstream peer
+// (re-wrapped by peer.send when the next hop is a child relay).
 func (r *Relay) deliver(site uint32, innerType byte, inner []byte) {
-	r.mu.Lock()
-	s := &r.sites[site]
 	if innerType == frameStart || innerType == frameResumeAck {
-		s.hasPending = false
-		s.pendingInner = nil
+		r.mu.Lock()
+		r.pending[site] = pendingJoin{}
+		r.mu.Unlock()
 	}
-	d := s.down
-	r.mu.Unlock()
-	if d == nil {
-		return
+	if p := r.s.slots.get(site).peer; p != nil {
+		p.send(site, innerType, inner)
 	}
-	d.wmu.Lock()
-	var err error
-	if d.isRelay {
-		err = d.c.writeFrame(frameRelayCtl, encodeRelayWrapped(site, innerType, inner))
-	} else {
-		err = d.c.writeFrame(innerType, inner)
-	}
-	if err == nil {
-		d.c.flush()
-	}
-	d.wmu.Unlock()
 }
 
 // forwardJoin ships one wrapped join upstream. Write errors are dropped: the
@@ -410,9 +299,7 @@ func (r *Relay) forwardJoin(site uint32, kind byte, inner []byte) {
 	payload := encodeRelayWrapped(site, kind, inner)
 	r.upMu.Lock()
 	if r.up != nil {
-		if err := r.up.writeFrame(frameRelayJoin, payload); err == nil {
-			r.up.flush()
-		}
+		r.up.send(frameRelayJoin, payload)
 	}
 	r.upMu.Unlock()
 }
@@ -429,34 +316,22 @@ func (r *Relay) replayUp() {
 		inner []byte
 	}
 	var joins, dones []j
+	slots := r.s.slots.all()
 	r.mu.Lock()
-	for i := range r.sites {
-		s := &r.sites[i]
-		if !s.known {
-			continue
+	for i, sl := range slots {
+		site := uint32(i)
+		switch pj := r.pending[i]; {
+		case pj.ok:
+			joins = append(joins, j{site, pj.kind, pj.inner})
+		case sl.peer != nil || sl.done:
+			joins = append(joins, j{site, relayJoinReattach, nil})
 		}
-		switch {
-		case s.hasPending:
-			joins = append(joins, j{uint32(i), s.pendingKind, s.pendingInner})
-		case s.down != nil || s.done:
-			joins = append(joins, j{uint32(i), relayJoinReattach, nil})
-		}
-		// Full replay: every nonzero folded count is dirty again. Counts
-		// are monotone and the fold is max-merge, so over-shipping is free.
-		for id, n := range s.counts {
-			if n != 0 {
-				s.dirty[id] = true
-				s.dirtyAny = true
-			}
-		}
-		for id, n := range s.structCounts {
-			if n != 0 {
-				s.structDirty[id] = true
-				s.structAny = true
-			}
-		}
-		if s.done {
-			dones = append(dones, j{uint32(i), relayJoinDone, encodeDone(uint32(i), s.doneEvents)})
+		// Full replay: counts are monotone and the fold is max-merge, so
+		// over-shipping is free.
+		r.counts[i].markAll()
+		r.structs[i].markAll()
+		if sl.done {
+			dones = append(dones, j{site, relayJoinDone, encodeDone(site, sl.events)})
 		}
 	}
 	r.mu.Unlock()
@@ -469,358 +344,77 @@ func (r *Relay) replayUp() {
 	}
 }
 
-// acceptLoop admits downstream connections until the listener closes.
-func (r *Relay) acceptLoop() {
-	for {
-		raw, err := r.ln.Accept()
-		if err != nil {
-			return
-		}
-		go r.handleDown(raw)
-	}
-}
+// relayStart is the base configuration a child relay receives: the one
+// the relay got from its own parent.
+func (r *Relay) relayStart() StartConfig { return r.base }
 
-// handleDown performs the downstream handshake: sites open with hello or
-// resume (forwarded upstream as wrapped joins; the parent's reply routes
-// back through deliver), child relays open with relayHello (answered
-// locally from the cached base config).
-func (r *Relay) handleDown(raw net.Conn) {
-	c := newConn(raw)
-	t, payload, err := c.readFrame()
-	if err != nil {
-		raw.Close()
-		return
-	}
-	d := &relayDown{raw: raw, c: c}
-	switch t {
-	case frameHello, frameResume:
-		var site uint32
-		if t == frameHello {
-			site, err = decodeHello(payload)
-		} else {
-			var req resumeReq
-			req, err = decodeResume(payload)
-			site = req.Site
+// frame and fail are no-ops: a relay counts folds, not frames, and a
+// malformed downstream dialer or a dead listener only costs that
+// connection.
+func (r *Relay) frame()     {}
+func (r *Relay) fail(error) {}
+
+// join is the relay's side of every membership event, from a direct site
+// or a child relay alike: bookkeep it and pass it up.
+func (r *Relay) join(p *peer, site uint32, kind byte, inner []byte) error {
+	switch kind {
+	case relayJoinHello, relayJoinResume, relayJoinReattach:
+		r.s.attach(site, p)
+		pj := pendingJoin{kind: kind, inner: inner, ok: true}
+		if kind == relayJoinReattach {
+			pj = pendingJoin{} // reattaches expect no reply
 		}
-		if err != nil || site >= uint32(len(r.sites)) {
-			raw.Close()
-			return
-		}
-		kind := relayJoinHello
-		var inner []byte
-		if t == frameResume {
-			kind = relayJoinResume
-			inner = append([]byte(nil), payload...)
-		}
-		r.attachDown(site, d, kind, inner)
-		c.setReadLimit(r.innerCap)
-		r.forwardJoin(site, kind, inner)
-		if err := r.siteLoop(d, site); err != nil {
-			r.detachDown(site, d)
-		}
-		// A nil return is Done: the connection stays attached, idle, so the
-		// closing stats can route down to the site.
-	case frameRelayHello:
-		// Child relay: it needs the base config we already hold.
-		d.isRelay = true
-		base := r.base
-		base.Site, base.Events = 0, 0
-		d.wmu.Lock()
-		err := c.writeFrame(frameStart, encodeStart(base))
-		if err == nil {
-			err = c.flush()
-		}
-		d.wmu.Unlock()
-		if err != nil {
-			raw.Close()
-			return
-		}
-		c.setReadLimit(relayPayloadCap(uint32(len(r.sites)), r.innerCap))
-		r.childRelayLoop(d)
-		// The child link died: every site it carried is detached and the
-		// detach forwarded up.
 		r.mu.Lock()
-		var lostSites []uint32
-		for i := range r.sites {
-			if r.sites[i].down == d {
-				r.sites[i].down = nil
-				if !r.sites[i].done {
-					lostSites = append(lostSites, uint32(i))
-				}
-				r.siteDetachedLocked(&r.sites[i])
-			}
-		}
+		r.pending[site] = pj
 		r.mu.Unlock()
-		raw.Close()
-		for _, site := range lostSites {
-			r.forwardJoin(site, relayJoinDetach, nil)
-		}
-	default:
-		raw.Close()
-	}
-}
-
-// attachDown records a site's downstream connection and its pending join.
-func (r *Relay) attachDown(site uint32, d *relayDown, kind byte, inner []byte) {
-	r.mu.Lock()
-	s := &r.sites[site]
-	r.ensureSiteLocked(s)
-	if s.down != nil && s.down != d && !s.down.isRelay {
-		s.down.raw.Close() // superseded; latest wins, as at the coordinator
-	}
-	if s.down == nil && !s.done {
-		r.active++
-	}
-	s.down = d
-	s.hasPending = true
-	s.pendingKind = kind
-	s.pendingInner = inner
-	r.mu.Unlock()
-}
-
-// ensureSiteLocked lazily sizes a site's fold vectors. Caller holds r.mu.
-func (r *Relay) ensureSiteLocked(s *relaySiteState) {
-	s.known = true
-	if s.counts == nil {
-		s.counts = make([]int64, r.layout.NumCounters())
-		s.dirty = make([]bool, r.layout.NumCounters())
-	}
-	if r.structCells > 0 && s.structCounts == nil {
-		s.structCounts = make([]int64, r.structCells)
-		s.structDirty = make([]bool, r.structCells)
-	}
-}
-
-// siteDetachedLocked updates the round accounting when a site's downstream
-// connection is lost. Caller holds r.mu.
-func (r *Relay) siteDetachedLocked(s *relaySiteState) {
-	if !s.done {
-		r.active--
-	}
-}
-
-// detachDown clears a site's downstream connection (if d is still current)
-// and forwards the detach so the coordinator arms the site's grace timer.
-func (r *Relay) detachDown(site uint32, d *relayDown) {
-	r.mu.Lock()
-	s := &r.sites[site]
-	if s.down != d {
-		r.mu.Unlock()
-		return
-	}
-	s.down = nil
-	r.siteDetachedLocked(s)
-	done := s.done
-	r.mu.Unlock()
-	d.raw.Close()
-	if !done && !r.closed.Load() {
-		r.forwardJoin(site, relayJoinDetach, nil)
-	}
-}
-
-// siteLoop consumes one site connection's data frames, folding them locally.
-// A nil return is the site's Done (flushed and forwarded, connection kept);
-// an error detaches the connection.
-func (r *Relay) siteLoop(d *relayDown, site uint32) error {
-	var ups []Update
-	for {
-		t, payload, err := d.c.readFrame()
+		r.forwardJoin(site, kind, inner)
+		return nil
+	case relayJoinDone:
+		_, events, err := decodeDone(inner)
 		if err != nil {
 			return err
 		}
-		switch t {
-		case frameUpdates:
-			ups, err = decodeUpdates(ups, payload)
-			if err != nil {
-				return err
-			}
-			if err := r.fold(site, ups); err != nil {
-				return err
-			}
-		case frameUpdates2:
-			ups, err = decodeUpdates2(ups, payload, r.layout.NumCounters())
-			if err != nil {
-				return err
-			}
-			if err := r.fold(site, ups); err != nil {
-				return err
-			}
-		case frameStructStats:
-			if r.structCells == 0 {
-				return fmt.Errorf("cluster: relay %d: site %d sent struct stats but structure learning is off", r.cfg.ID, site)
-			}
-			var siteEvents uint64
-			siteEvents, ups, err = decodeStructStats(ups, payload, r.structCells)
-			if err != nil {
-				return err
-			}
-			r.foldStruct(site, siteEvents, ups)
-		case frameDone:
-			_, events, err := decodeDone(payload)
-			if err != nil {
-				return err
-			}
-			r.siteDone(site, events, payload)
-			return nil
-		default:
-			return fmt.Errorf("cluster: relay %d: site %d unexpected frame %d", r.cfg.ID, site, t)
-		}
-	}
-}
-
-// childRelayLoop consumes a child relay's frames: wrapped joins (bookkept
-// locally, forwarded up) and grouped data frames (unwrapped and folded per
-// site — the fold composes across tiers because max-merge is associative).
-func (r *Relay) childRelayLoop(d *relayDown) {
-	var ups []Update
-	var groups []relayGroup
-	for {
-		t, payload, err := d.c.readFrame()
-		if err != nil {
-			return
-		}
-		switch t {
-		case frameRelayJoin:
-			site, kind, inner, err := decodeRelayWrapped(payload)
-			if err != nil || site >= uint32(len(r.sites)) {
-				return
-			}
-			r.childJoin(d, site, kind, inner)
-		case frameRelayUpdates:
-			groups, err = decodeRelayGroups(groups, payload, uint32(len(r.sites)), r.innerCap)
-			if err != nil {
-				return
-			}
-			for _, g := range groups {
-				ups, err = decodeUpdates2(ups, g.Payload, r.layout.NumCounters())
-				if err != nil {
-					return
-				}
-				if r.fold(g.Site, ups) != nil {
-					return
-				}
-			}
-		case frameRelayStruct:
-			groups, err = decodeRelayGroups(groups, payload, uint32(len(r.sites)), r.innerCap)
-			if err != nil || r.structCells == 0 {
-				return
-			}
-			for _, g := range groups {
-				var siteEvents uint64
-				siteEvents, ups, err = decodeStructStats(ups, g.Payload, r.structCells)
-				if err != nil {
-					return
-				}
-				r.foldStruct(g.Site, siteEvents, ups)
-			}
-		default:
-			return
-		}
-	}
-}
-
-// childJoin bookkeeps one join forwarded by a child relay and passes it up.
-func (r *Relay) childJoin(d *relayDown, site uint32, kind byte, inner []byte) {
-	switch kind {
-	case relayJoinHello, relayJoinResume, relayJoinReattach:
-		r.attachDown(site, d, kind, append([]byte(nil), inner...))
-		if kind == relayJoinReattach {
-			// Reattaches expect no reply; nothing is pending.
-			r.mu.Lock()
-			r.sites[site].hasPending = false
-			r.sites[site].pendingInner = nil
-			r.mu.Unlock()
-		}
-		r.forwardJoin(site, kind, inner)
-	case relayJoinDone:
-		if _, events, err := decodeDone(inner); err == nil {
-			r.siteDone(site, events, inner)
-		}
+		r.s.slots.markDone(site, events)
+		// Flush first: frames on one connection are processed in order, so
+		// the final counts precede the marker upstream.
+		r.flushUp()
+		r.forwardJoin(site, relayJoinDone, inner)
+		return nil
 	case relayJoinDetach:
-		r.mu.Lock()
-		s := &r.sites[site]
-		cur := s.down == d
-		if cur {
-			s.down = nil
-			r.siteDetachedLocked(s)
-		}
-		r.mu.Unlock()
-		if cur {
+		// Forwarded so the coordinator arms the site's grace timer.
+		if slot, ok := r.s.slots.detach(site, p); ok && !slot.done && !r.s.stopped() {
 			r.forwardJoin(site, relayJoinDetach, nil)
 		}
+		return nil
 	}
+	return fmt.Errorf("cluster: relay %d: join kind %d for site %d", r.cfg.ID, kind, site)
 }
 
-// siteDone records a site's Done, flushes the folded state so the final
-// counts precede the marker on the upstream connection (frames on one
-// connection are processed in order), then forwards the Done join.
-func (r *Relay) siteDone(site uint32, events int64, donePayload []byte) {
-	r.mu.Lock()
-	s := &r.sites[site]
-	r.ensureSiteLocked(s)
-	if !s.done {
-		s.done = true
-		s.doneEvents = events
-		if s.down != nil {
-			r.active--
-		}
-	}
-	r.mu.Unlock()
-	r.flushUp()
-	r.forwardJoin(site, relayJoinDone, donePayload)
-}
-
-// fold max-merges one decoded per-site update batch into the site's folded
-// vector and signals the flusher.
+// fold and foldStruct max-merge one site's decoded counter updates or
+// structure statistics into its folded vector and signal the flusher.
 func (r *Relay) fold(site uint32, ups []Update) error {
-	total := r.layout.NumCounters()
-	r.mu.Lock()
-	s := &r.sites[site]
-	r.ensureSiteLocked(s)
-	for _, u := range ups {
-		if u.Counter >= total {
-			r.mu.Unlock()
-			return fmt.Errorf("cluster: relay %d: site %d counter %d out of range", r.cfg.ID, site, u.Counter)
-		}
-		if u.LocalCount > s.counts[u.Counter] {
-			s.counts[u.Counter] = u.LocalCount
-			s.dirty[u.Counter] = true
-			s.dirtyAny = true
-		}
-	}
-	r.mu.Unlock()
-	r.noteDownFrame()
-	return nil
+	return r.merge(&r.counts[site], r.s.counters, site, 0, ups)
 }
 
-// foldStruct max-merges one struct-stats frame into the site's cumulative
-// cell vector.
-func (r *Relay) foldStruct(site uint32, siteEvents uint64, ups []Update) {
-	r.mu.Lock()
-	s := &r.sites[site]
-	r.ensureSiteLocked(s)
-	if siteEvents > s.structEvents {
-		s.structEvents = siteEvents
-		s.structAny = true
-	}
-	for _, u := range ups {
-		if u.Counter < uint32(len(s.structCounts)) && u.LocalCount > s.structCounts[u.Counter] {
-			s.structCounts[u.Counter] = u.LocalCount
-			s.structDirty[u.Counter] = true
-			s.structAny = true
-		}
-	}
-	r.mu.Unlock()
-	r.noteDownFrame()
+func (r *Relay) foldStruct(site uint32, siteEvents uint64, ups []Update) error {
+	return r.merge(&r.structs[site], r.s.cells, site, siteEvents, ups)
 }
 
-func (r *Relay) noteDownFrame() {
+func (r *Relay) merge(v *maxVec, n, site uint32, pos uint64, ups []Update) error {
+	r.mu.Lock()
+	v.advance(pos)
+	err := v.merge(n, ups, nil)
+	r.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("cluster: relay %d: site %d: %w", r.cfg.ID, site, err)
+	}
 	r.DownFrames.Add(1)
 	r.framesSinceFlush.Add(1)
 	select {
 	case r.flushReq <- struct{}{}:
 	default:
 	}
+	return nil
 }
 
 // flushLoop ships folded state upstream: immediately once a full round of
@@ -828,32 +422,27 @@ func (r *Relay) noteDownFrame() {
 // for stragglers — so steady streaming coalesces at the branching factor and
 // a quiet tail still drains promptly.
 func (r *Relay) flushLoop() {
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
+	interval := r.cfg.FlushInterval
+	if interval <= 0 {
+		interval = 2 * time.Millisecond
 	}
+	// Stop and Reset leave no stale tick behind (Go ≥ 1.23 timers).
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	defer timer.Stop()
 	armed := false
 	for {
 		select {
-		case <-r.done:
+		case <-r.s.done:
 			return
 		case <-r.flushReq:
-			r.mu.Lock()
-			ready := r.active > 0 && r.framesSinceFlush.Load() >= int64(r.active)
-			r.mu.Unlock()
-			if ready {
+			active := r.s.slots.activeSites()
+			if active > 0 && r.framesSinceFlush.Load() >= int64(active) {
 				r.flushUp()
-				if armed {
-					if !timer.Stop() {
-						select {
-						case <-timer.C:
-						default:
-						}
-					}
-					armed = false
-				}
+				timer.Stop()
+				armed = false
 			} else if !armed {
-				timer.Reset(r.flushInterval())
+				timer.Reset(interval)
 				armed = true
 			}
 		case <-timer.C:
@@ -864,69 +453,35 @@ func (r *Relay) flushLoop() {
 }
 
 // flushUp ships every dirty per-site folded vector upstream as one grouped
-// frame (plus one grouped struct frame when the overlay is on). Dirty flags
-// clear optimistically before the write: if the write fails the upstream
-// link is dead, and the reconnect replay re-marks every nonzero count dirty
-// — nothing is lost, at the cost of re-shipping (free under max-merge).
+// frame (plus one grouped struct frame when the overlay is on). The upstream
+// lock is held from the drain to the write, so whatever one flush drained
+// reaches the link before any later upstream write — a site's Done marker,
+// forwarded right after its final flush, can never overtake counts a
+// concurrent flush drained first. Dirty flags clear before the write: if
+// the write fails the upstream link is dead, and the reconnect replay
+// re-marks every nonzero count dirty — nothing is lost, at the cost of
+// re-shipping (free under max-merge).
 func (r *Relay) flushUp() {
 	r.framesSinceFlush.Store(0)
-	var groups, sgroups []relayGroup
-	var ups []Update
-	r.mu.Lock()
-	for i := range r.sites {
-		s := &r.sites[i]
-		if s.dirtyAny {
-			ups = ups[:0]
-			for id, d := range s.dirty {
-				if d {
-					ups = append(ups, Update{Counter: uint32(id), LocalCount: s.counts[id]})
-					s.dirty[id] = false
-				}
-			}
-			s.dirtyAny = false
-			if len(ups) > 0 {
-				groups = append(groups, relayGroup{Site: uint32(i), Payload: encodeUpdates2(nil, ups)})
-			}
-		}
-		if s.structAny {
-			ups = ups[:0]
-			for id, d := range s.structDirty {
-				if d {
-					ups = append(ups, Update{Counter: uint32(id), LocalCount: s.structCounts[id]})
-					s.structDirty[id] = false
-				}
-			}
-			s.structAny = false
-			sgroups = append(sgroups, relayGroup{Site: uint32(i), Payload: encodeStructStats(nil, s.structEvents, ups)})
-		}
-	}
-	r.mu.Unlock()
-	if len(groups) == 0 && len(sgroups) == 0 {
-		return
-	}
 	r.upMu.Lock()
 	defer r.upMu.Unlock()
-	if r.up == nil {
-		return // reconnecting; the replay will re-ship
-	}
+	r.mu.Lock()
+	groups := drainGroups(r.counts, encodeCountGroup)
+	sgroups := drainGroups(r.structs, encodeStructGroup)
+	r.mu.Unlock()
 	ok := true
-	if len(groups) > 0 {
+	ship := func(t byte, groups []relayGroup) {
+		if !ok || len(groups) == 0 {
+			return
+		}
 		r.upBuf = encodeRelayGroups(r.upBuf, groups)
-		if err := r.up.writeFrame(frameRelayUpdates, r.upBuf); err != nil {
-			ok = false
-		} else {
+		if ok = r.up.writeFrame(t, r.upBuf) == nil; ok {
 			r.UpFrames.Add(1)
 		}
 	}
-	if ok && len(sgroups) > 0 {
-		r.upBuf = encodeRelayGroups(r.upBuf, sgroups)
-		if err := r.up.writeFrame(frameRelayStruct, r.upBuf); err != nil {
-			ok = false
-		} else {
-			r.UpFrames.Add(1)
-		}
-	}
-	if ok {
+	ship(frameRelayUpdates, groups)
+	ship(frameRelayStruct, sgroups)
+	if ok && len(groups)+len(sgroups) > 0 {
 		r.up.flush()
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
 )
@@ -11,13 +12,15 @@ const fuzzRelaySites = 16
 
 // FuzzRelayGroups feeds arbitrary bytes through the relay's frame re-encode
 // path: decode a grouped frameRelayUpdates payload, fold each group's inner
-// updates2 batch into per-site max-merge vectors (exactly the relay's fold),
-// re-encode the folded state as one grouped frame the way flushUp does, and
-// decode it again. Whatever the input — truncated groups, adversarial
-// counts, out-of-range sites or ids — the decoders must error or produce
-// well-formed groups, never panic, and the fold → re-encode → decode round
-// trip must reproduce the folded per-site state exactly (the invariant that
-// makes a relay tier invisible to final estimates).
+// updates2 batch into per-site max-merge vectors, re-encode the folded state
+// as one grouped frame, and decode it again. The fold runs twice: through a
+// map-based reference, and through the production maxVec and flush encoder
+// (drainGroups) the relay runs, whose grouped frame must equal the
+// reference's byte for byte. Whatever the input — truncated groups,
+// adversarial counts, out-of-range sites or ids — the decoders must error
+// or produce well-formed groups, never panic, and the fold → re-encode →
+// decode round trip must reproduce the folded per-site state exactly (the
+// invariant that makes a relay tier invisible to final estimates).
 func FuzzRelayGroups(f *testing.F) {
 	for _, seed := range fuzzRelayGroupSeeds() {
 		f.Add(seed)
@@ -28,8 +31,10 @@ func FuzzRelayGroups(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Fold: the relay's per-site max-merge over monotone counts.
+		// Fold: the relay's per-site max-merge over monotone counts, into
+		// the reference maps and the production vectors.
 		folded := map[uint32]map[uint32]int64{}
+		vecs := make([]maxVec, fuzzRelaySites)
 		for _, g := range groups {
 			if g.Site >= fuzzRelaySites {
 				t.Fatalf("decodeRelayGroups accepted out-of-range site %d", g.Site)
@@ -37,6 +42,9 @@ func FuzzRelayGroups(f *testing.F) {
 			ups, err := decodeUpdates2(nil, g.Payload, fuzzMaxCounters)
 			if err != nil {
 				continue // garbage inner payload: the relay drops the conn
+			}
+			if err := vecs[g.Site].merge(fuzzMaxCounters, ups, nil); err != nil {
+				t.Fatalf("maxVec rejected decoded group %d: %v", g.Site, err)
 			}
 			m := folded[g.Site]
 			if m == nil {
@@ -66,10 +74,14 @@ func FuzzRelayGroups(f *testing.F) {
 			}
 			out = append(out, relayGroup{Site: site, Payload: encodeUpdates2(nil, ups)})
 		}
+		want := encodeRelayGroups(nil, out)
+		if got := encodeRelayGroups(nil, drainGroups(vecs, encodeCountGroup)); !bytes.Equal(got, want) {
+			t.Fatalf("production fold encodes %x, reference %x", got, want)
+		}
 		if len(out) == 0 {
 			return
 		}
-		again, err := decodeRelayGroups(nil, encodeRelayGroups(nil, out), fuzzRelaySites, innerCap)
+		again, err := decodeRelayGroups(nil, want, fuzzRelaySites, innerCap)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded groups failed: %v", err)
 		}

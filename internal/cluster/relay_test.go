@@ -24,6 +24,7 @@ func allEstimates(co *Coordinator) []float64 {
 // change any estimate), while the root coordinator sees at least 3x fewer
 // frames at branching 4.
 func TestTreeBitIdenticalToFlat(t *testing.T) {
+	checkGoroutines(t)
 	cfg := Config{
 		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.NonUniform,
 		Eps: 0.1, Delta: 0.25, Sites: 8, Events: 48000, StreamSeed: 7,
@@ -77,6 +78,7 @@ func TestTreeBitIdenticalToFlat(t *testing.T) {
 // bit-identical estimates and that the fold absorbs the much higher
 // downstream frame rate.
 func TestTreePerEventProtocol(t *testing.T) {
+	checkGoroutines(t)
 	cfg := Config{
 		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.NonUniform,
 		Eps: 0.1, Delta: 0.25, Sites: 6, Events: 6000, StreamSeed: 11,
@@ -107,6 +109,7 @@ func TestTreePerEventProtocol(t *testing.T) {
 // max-merge fold is associative, so estimates stay bit-identical at any
 // depth.
 func TestTreeDepth3(t *testing.T) {
+	checkGoroutines(t)
 	cfg := Config{
 		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.NonUniform,
 		Eps: 0.1, Delta: 0.25, Sites: 4, Events: 8000, StreamSeed: 13,
@@ -174,6 +177,7 @@ func TestTreeDepth3(t *testing.T) {
 // markers), the coordinator's max-merge absorbs the re-shipped state, and
 // the final estimates stay bit-identical to a flat run.
 func TestRelayUpstreamSevered(t *testing.T) {
+	checkGoroutines(t)
 	cfg := Config{
 		NetName: "alarm", CPTSeed: 0xC0DE, Strategy: core.NonUniform,
 		Eps: 0.1, Delta: 0.25, Sites: 4, Events: 40000, StreamSeed: 29,

@@ -194,62 +194,20 @@ func (s *Site) maxResumes() int {
 	return 32
 }
 
-func (s *Site) dialAttempts() int {
-	if s.DialAttempts > 0 {
-		return s.DialAttempts
-	}
-	return 8
-}
-
-// backoff returns the wait before retry attempt n (0-based): exponential
-// with deterministic jitter from jrng, capped.
-func (s *Site) backoff(n int, jrng *bn.RNG) time.Duration {
-	base, cap := s.RetryBase, s.RetryCap
-	if base <= 0 {
-		base = 20 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = time.Second
-	}
-	d := base << uint(min(n, 20))
-	if d > cap || d <= 0 {
-		d = cap
-	}
-	// Up to 50% jitter, drawn from a seeded generator so two sites that fail
-	// together do not thunder back together — and so tests stay reproducible.
-	return d + time.Duration(jrng.Float64()*0.5*float64(d))
-}
-
-// dialRetry dials the coordinator with bounded exponential backoff; a
-// coordinator that is briefly down (restarting from a checkpoint, say) just
-// costs a few retries instead of failing the site.
-func (s *Site) dialRetry(jrng *bn.RNG) (net.Conn, error) {
-	var lastErr error
-	for n := 0; n < s.dialAttempts(); n++ {
-		if n > 0 {
-			time.Sleep(s.backoff(n-1, jrng))
-		}
-		raw, err := net.Dial("tcp", s.addr)
-		if err == nil {
-			return raw, nil
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("cluster: site %d dial: %w", s.id, lastErr)
-}
-
 // Run connects, processes the configured stream, and returns the
 // coordinator's closing Stats. Run supervises its connection: dial failures
 // retry with backoff, and a connection lost mid-run resumes (see the Site
 // doc comment) until MaxResumes is exhausted.
 func (s *Site) Run() (Stats, error) {
-	jrng := bn.NewRNG(0xc1a05c0de ^ (uint64(s.id) * 0x9e3779b97f4a7c15))
+	b := newBackoff(s.DialAttempts, s.RetryBase, s.RetryCap, 0xc1a05c0de^(uint64(s.id)*0x9e3779b97f4a7c15))
 	var st *siteRun
 	stalled := 0 // consecutive resumes without stream progress
 	for {
-		raw, err := s.dialRetry(jrng)
+		// A coordinator that is briefly down (restarting from a checkpoint,
+		// say) just costs a few retries instead of failing the site.
+		raw, err := b.dial(s.addr)
 		if err != nil {
-			return Stats{}, err
+			return Stats{}, fmt.Errorf("cluster: site %d dial: %w", s.id, err)
 		}
 		var before uint64
 		if st != nil {
@@ -268,7 +226,7 @@ func (s *Site) Run() (Stats, error) {
 		if stalled > s.maxResumes() {
 			return Stats{}, fmt.Errorf("cluster: site %d out of resume attempts: %w", s.id, err)
 		}
-		time.Sleep(s.backoff(stalled, jrng))
+		b.sleep(stalled, nil)
 	}
 }
 
@@ -283,18 +241,9 @@ func (s *Site) runConn(raw net.Conn, pst **siteRun) (Stats, bool, error) {
 
 	if st == nil {
 		// First connection: introduce ourselves, receive the run config.
-		if err := c.writeFrame(frameHello, encodeHello(s.id)); err != nil {
-			return Stats{}, false, err
-		}
-		if err := c.flush(); err != nil {
-			return Stats{}, false, err
-		}
-		t, payload, err := c.readFrame()
+		payload, terminal, err := handshake(c, frameHello, encodeHello(s.id), frameStart)
 		if err != nil {
-			return Stats{}, false, fmt.Errorf("cluster: site %d waiting for start: %w", s.id, err)
-		}
-		if t != frameStart {
-			return Stats{}, true, fmt.Errorf("cluster: site %d got frame %d, want start", s.id, t)
+			return Stats{}, terminal, fmt.Errorf("cluster: site %d start: %w", s.id, err)
 		}
 		cfg, err := decodeStart(payload)
 		if err != nil {
@@ -309,18 +258,9 @@ func (s *Site) runConn(raw net.Conn, pst **siteRun) (Stats, bool, error) {
 		// decided counts so the coordinator's row catches up to our state
 		// regardless of what the dead connection actually delivered (or what
 		// a restored-from-checkpoint coordinator remembers).
-		if err := c.writeFrame(frameResume, encodeResume(resumeReq{Site: s.id, Events: st.next})); err != nil {
-			return Stats{}, false, err
-		}
-		if err := c.flush(); err != nil {
-			return Stats{}, false, err
-		}
-		t, payload, err := c.readFrame()
+		payload, terminal, err := handshake(c, frameResume, encodeResume(resumeReq{Site: s.id, Events: st.next}), frameResumeAck)
 		if err != nil {
-			return Stats{}, false, fmt.Errorf("cluster: site %d waiting for resume ack: %w", s.id, err)
-		}
-		if t != frameResumeAck {
-			return Stats{}, true, fmt.Errorf("cluster: site %d got frame %d, want resume ack", s.id, t)
+			return Stats{}, terminal, fmt.Errorf("cluster: site %d resume: %w", s.id, err)
 		}
 		ack, err := decodeResumeAck(payload)
 		if err != nil {
@@ -329,7 +269,7 @@ func (s *Site) runConn(raw net.Conn, pst **siteRun) (Stats, bool, error) {
 		if ack.Flags&resumeRunComplete != 0 {
 			// The run finished while we were away; the closing stats follow
 			// on this connection.
-			stats, err := s.awaitStats(c)
+			stats, err := awaitStats(c, s.id)
 			return stats, err == nil, err
 		}
 		if ack.Flags&resumeSiteDone != 0 {
@@ -357,14 +297,11 @@ func (s *Site) runConn(raw net.Conn, pst **siteRun) (Stats, bool, error) {
 	if !st.doneSent {
 		// The Done marker carries the site's full event count; the
 		// coordinator deduplicates, so re-sending after a resume is safe.
-		if err := c.writeFrame(frameDone, encodeDone(s.id, int64(st.cfg.Events))); err != nil {
-			return Stats{}, false, err
-		}
-		if err := c.flush(); err != nil {
+		if err := c.send(frameDone, encodeDone(s.id, int64(st.cfg.Events))); err != nil {
 			return Stats{}, false, err
 		}
 	}
-	stats, err := s.awaitStats(c)
+	stats, err := awaitStats(c, s.id)
 	if err != nil {
 		return Stats{}, false, err // stats lost in transit: resume and re-ask
 	}
@@ -376,12 +313,7 @@ func (s *Site) runConn(raw net.Conn, pst **siteRun) (Stats, bool, error) {
 // construction: every replayed count is ≤ the count an uninterrupted run
 // would have delivered by now, and the coordinator keeps the max.
 func (s *Site) replay(c *conn, st *siteRun) error {
-	st.ups = st.ups[:0]
-	for id, n := range st.lastReported {
-		if n != 0 {
-			st.ups = append(st.ups, Update{Counter: uint32(id), LocalCount: n})
-		}
-	}
+	st.ups = appendNonzero(st.ups[:0], st.lastReported, 0)
 	if st.batch != nil {
 		// The pending window is subsumed by lastReported (both record the
 		// latest decision); drop it so it is not re-flushed at the next
@@ -413,25 +345,33 @@ func (s *Site) shipStructStats(c *conn, st *siteRun) error {
 	if st.structCounts == nil || st.next == 0 {
 		return nil
 	}
-	st.ups = st.ups[:0]
-	for id, n := range st.structCounts {
-		if n != 0 {
-			st.ups = append(st.ups, Update{Counter: uint32(id), LocalCount: n})
-		}
-	}
+	st.ups = appendNonzero(st.ups[:0], st.structCounts, 0)
 	st.buf = encodeStructStats(st.buf, st.next, st.ups)
-	if err := c.writeFrame(frameStructStats, st.buf); err != nil {
-		return err
+	return c.send(frameStructStats, st.buf)
+}
+
+// handshake sends one control frame and reads the reply, which must have
+// type want. A failed write or read means the connection died (retry); a
+// reply of another type is a protocol violation (terminal).
+func handshake(c *conn, t byte, payload []byte, want byte) (reply []byte, terminal bool, err error) {
+	if err = c.send(t, payload); err == nil {
+		t, reply, err = c.readFrame()
 	}
-	return c.flush()
+	if err != nil {
+		return nil, false, err
+	}
+	if t != want {
+		return nil, true, fmt.Errorf("got frame %d, want %d", t, want)
+	}
+	return reply, false, nil
 }
 
 // awaitStats reads frames until the coordinator's closing stats arrive.
-func (s *Site) awaitStats(c *conn) (Stats, error) {
+func awaitStats(c *conn, site uint32) (Stats, error) {
 	for {
 		t, payload, err := c.readFrame()
 		if err != nil {
-			return Stats{}, fmt.Errorf("cluster: site %d waiting for stats: %w", s.id, err)
+			return Stats{}, fmt.Errorf("cluster: site %d waiting for stats: %w", site, err)
 		}
 		if t == frameStats {
 			return decodeStats(payload)

@@ -224,9 +224,10 @@ type structEngine struct {
 	layout *StructLayout
 	net    *bn.Network
 
-	mu         sync.Mutex
-	perSite    [][]int64 // cumulative cell counts per site (max-merged)
-	siteEvents []uint64  // per-site stream positions (max-merged)
+	mu sync.Mutex
+	// perSite holds each site's cumulative cell counts and stream position,
+	// max-merged.
+	perSite []maxVec
 	// windows holds one sliding window per site, advanced by that site's
 	// own stream clock. Sites drain their streams at arbitrary relative
 	// paces (a fast site can ship its whole stream before a slow one
@@ -261,16 +262,14 @@ func newStructEngine(netw *bn.Network, sites int, windowEvents int64, blocks int
 		perSiteWindow = int64(blocks)
 	}
 	e := &structEngine{
-		layout:     layout,
-		net:        netw,
-		perSite:    make([][]int64, sites),
-		siteEvents: make([]uint64, sites),
-		windows:    make([]*decay.WindowVec, sites),
-		agg:        make([]int64, layout.Cells()),
-		mi:         make([][]float64, netw.Len()),
+		layout:  layout,
+		net:     netw,
+		perSite: make([]maxVec, sites),
+		windows: make([]*decay.WindowVec, sites),
+		agg:     make([]int64, layout.Cells()),
+		mi:      make([][]float64, netw.Len()),
 	}
-	for i := range e.perSite {
-		e.perSite[i] = make([]int64, layout.Cells())
+	for i := range e.windows {
 		if e.windows[i], err = decay.NewWindowVec(int(layout.Cells()), perSiteWindow, blocks); err != nil {
 			return nil, err
 		}
@@ -286,26 +285,20 @@ func newStructEngine(netw *bn.Network, sites int, windowEvents int64, blocks int
 // advance that window's clock by the site's stream progress, and relearn on
 // every block rotation. Replayed or duplicated frames contribute zero
 // deltas and zero clock advance — idempotent, like counter updates.
-func (e *structEngine) apply(site uint32, siteEvents uint64, ups []Update) {
+func (e *structEngine) apply(site uint32, siteEvents uint64, ups []Update) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	row, win := e.perSite[site], e.windows[site]
-	for _, u := range ups {
-		if u.LocalCount > row[u.Counter] {
-			win.Add(int(u.Counter), u.LocalCount-row[u.Counter])
-			row[u.Counter] = u.LocalCount
-		}
+	row, win := &e.perSite[site], e.windows[site]
+	if err := row.merge(e.layout.Cells(), ups, func(id uint32, delta int64) { win.Add(int(id), delta) }); err != nil {
+		return err
 	}
 	e.frames++
 	e.entries += int64(len(ups))
 	e.version++
-	if siteEvents > e.siteEvents[site] {
-		delta := int64(siteEvents - e.siteEvents[site])
-		e.siteEvents[site] = siteEvents
-		if win.Advance(delta) > 0 {
-			e.relearnLocked()
-		}
+	if delta := row.advance(siteEvents); delta > 0 && win.Advance(int64(delta)) > 0 {
+		e.relearnLocked()
 	}
+	return nil
 }
 
 // relearnLocked aggregates the per-site windows, re-runs Chow–Liu on the
@@ -329,7 +322,7 @@ func (e *structEngine) relearnLocked() {
 	e.relearns++
 
 	old := e.state.Load()
-	changed := old == nil || !sameUndirected(parent, old.parent, n)
+	changed := old == nil || !sameUndirected(parent, old.parent)
 	epoch := uint64(1)
 	if old != nil {
 		epoch = old.epoch
@@ -339,7 +332,10 @@ func (e *structEngine) relearnLocked() {
 		}
 	}
 
-	netw := old.netOrNil()
+	var netw *bn.Network
+	if old != nil {
+		netw = old.net
+	}
 	if changed || netw == nil {
 		vars := make([]bn.Variable, n)
 		for i := 0; i < n; i++ {
@@ -372,14 +368,6 @@ func (e *structEngine) relearnLocked() {
 	e.state.Store(ns)
 }
 
-// netOrNil tolerates a nil receiver so the first relearn reads naturally.
-func (s *structState) netOrNil() *bn.Network {
-	if s == nil {
-		return nil
-	}
-	return s.net
-}
-
 // seedFactorsLocked materializes the learned tree's CPD estimates straight
 // from the windowed pair statistics: for a tree, a variable's pair joint
 // counts with its parent are exactly the CPT sufficient statistics, and
@@ -391,23 +379,14 @@ func (e *structEngine) seedFactorsLocked(win []int64, learned *bn.Network) ([][]
 	n := e.net.Len()
 	marg := make([][]int64, n)
 	for i := 0; i < n; i++ {
-		ci := e.net.Card(i)
-		marg[i] = make([]int64, ci)
-		if i+1 < n {
-			joint := e.layout.JointAt(win, e.layout.PairIndex(i, i+1))
-			cj := e.net.Card(i + 1)
-			for vi := 0; vi < ci; vi++ {
-				for vj := 0; vj < cj; vj++ {
-					marg[i][vi] += joint[vi*cj+vj]
-				}
-			}
-		} else {
-			joint := e.layout.JointAt(win, e.layout.PairIndex(i-1, i))
-			cp := e.net.Card(i - 1)
-			for vp := 0; vp < cp; vp++ {
-				for vi := 0; vi < ci; vi++ {
-					marg[i][vi] += joint[vp*ci+vi]
-				}
+		j := i + 1 // any partner will do: every event increments every pair
+		if j == n {
+			j = i - 1
+		}
+		marg[i] = make([]int64, e.net.Card(i))
+		for vi := range marg[i] {
+			for vj := 0; vj < e.net.Card(j); vj++ {
+				marg[i][vi] += e.pairCount(win, i, vi, j, vj)
 			}
 		}
 	}
@@ -435,23 +414,11 @@ func (e *structEngine) seedFactorsLocked(win []int64, learned *bn.Network) ([][]
 		p := ps[0]
 		cp := learned.Card(p)
 		tbl := make([]float64, cp*ci)
-		lo, hi := i, p
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		joint := e.layout.JointAt(win, e.layout.PairIndex(lo, hi))
-		cHi := e.net.Card(hi)
 		for pv := 0; pv < cp; pv++ {
 			den := marg[p][pv]
 			for v := 0; v < ci; v++ {
-				var c int64
-				if i < p { // joint rows indexed by X_i
-					c = joint[v*cHi+pv]
-				} else { // joint rows indexed by X_p
-					c = joint[pv*cHi+v]
-				}
 				if den > 0 {
-					tbl[pv*ci+v] = float64(c) / float64(den)
+					tbl[pv*ci+v] = float64(e.pairCount(win, i, v, p, pv)) / float64(den)
 				} else {
 					tbl[pv*ci+v] = 1 / float64(ci)
 				}
@@ -462,34 +429,27 @@ func (e *structEngine) seedFactorsLocked(win []int64, learned *bn.Network) ([][]
 	return factors, total
 }
 
+// pairCount returns the windowed co-occurrence count of (X_i = vi,
+// X_j = vj) for i ≠ j, in either order.
+func (e *structEngine) pairCount(win []int64, i, vi, j, vj int) int64 {
+	if i > j {
+		i, vi, j, vj = j, vj, i, vi
+	}
+	return e.layout.JointAt(win, e.layout.PairIndex(i, j))[vi*e.net.Card(j)+vj]
+}
+
 // sameUndirected reports whether two parent vectors describe the same
 // undirected edge set.
-func sameUndirected(a, b []int, n int) bool {
-	type edge [2]int
-	canon := func(parent []int) map[edge]bool {
-		m := make(map[edge]bool, n)
-		for i, p := range parent {
-			if p < 0 {
-				continue
+func sameUndirected(a, b []int) bool {
+	covers := func(x, y []int) bool {
+		for i, p := range x {
+			if p >= 0 && y[i] != p && y[p] != i {
+				return false
 			}
-			lo, hi := i, p
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			m[edge{lo, hi}] = true
 		}
-		return m
+		return true
 	}
-	ea, eb := canon(a), canon(b)
-	if len(ea) != len(eb) {
-		return false
-	}
-	for e := range ea {
-		if !eb[e] {
-			return false
-		}
-	}
-	return true
+	return covers(a, b) && covers(b, a)
 }
 
 // stats returns the overlay's communication/learning tallies.
