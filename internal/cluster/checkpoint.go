@@ -91,11 +91,21 @@ func readCheckpoint(r io.Reader, maxSites, maxCounters uint32) (*checkpointState
 		return nil, err
 	}
 	st := &checkpointState{}
-	var sites uint64
-	for _, f := range []*uint64{&st.Fingerprint, &st.Epoch, &st.Frames, &st.Updates, &sites} {
-		if *f, err = cr.U64(); err != nil {
-			return nil, err
-		}
+	if st.Fingerprint, err = cr.U64(); err != nil {
+		return nil, err
+	}
+	if st.Epoch, err = cr.U64(); err != nil {
+		return nil, err
+	}
+	if st.Frames, err = cr.U64(); err != nil {
+		return nil, err
+	}
+	if st.Updates, err = cr.U64(); err != nil {
+		return nil, err
+	}
+	sites, err := cr.U64()
+	if err != nil {
+		return nil, err
 	}
 	if sites == 0 || sites > uint64(maxSites) {
 		return nil, fmt.Errorf("cluster: checkpoint declares %d sites, want 1..%d", sites, maxSites)
@@ -170,14 +180,20 @@ func (co *Coordinator) WriteCheckpoint(w io.Writer) error {
 		if sites[i].Done {
 			done = 1
 		}
-		for _, v := range []uint64{done, sites[i].Events} {
-			if err := cw.PutU64(v); err != nil {
-				return err
-			}
+		if err := cw.PutU64(done); err != nil {
+			return err
 		}
+		if err := cw.PutU64(sites[i].Events); err != nil {
+			return err
+		}
+		ups = ups[:0]
 		// Rows are compact (indexed by id − ownLo); the checkpoint stores
 		// absolute counter ids so it is self-describing.
-		ups = appendNonzero(ups[:0], rows[i], co.ownLo)
+		for idx, n := range rows[i] {
+			if n != 0 {
+				ups = append(ups, Update{Counter: uint32(idx) + co.ownLo, LocalCount: n})
+			}
+		}
 		buf = encodeUpdates2(buf, ups)
 		if err := cw.PutRecord(buf); err != nil {
 			return err
@@ -290,22 +306,27 @@ func (co *Coordinator) LastCheckpointError() error {
 // frame enqueues (nonblocking, so the ingest hot path never waits on file
 // IO) and writes one final checkpoint when the run completes, so a
 // coordinator restarted after completion serves stats immediately. A
-// cadence request that raced the end of the run is still honoured. The loop
+// cadence request still pending when the run ends is dropped, so a killed
+// coordinator writes nothing after the kill, as with a real crash. The loop
 // is owned by the session, so Close (or a killed Serve) returns only after
-// the last write has finished.
+// a write in progress has finished.
 func (co *Coordinator) checkpointLoop() {
-	write := func() {
-		if err := co.WriteCheckpointFile(co.cfg.CheckpointPath); err != nil {
-			co.ckptErr.Store(&err)
-		}
-	}
 	for {
 		select {
 		case <-co.ckptCh:
-			write()
+			// select picks at random among ready cases; a request that
+			// raced the end of the run is left to the finish case.
+			if over, _ := co.finished(); over {
+				continue
+			}
+			if err := co.WriteCheckpointFile(co.cfg.CheckpointPath); err != nil {
+				co.ckptErr.Store(&err)
+			}
 		case <-co.finishCh:
-			if len(co.ckptCh) > 0 || co.finishErr == nil {
-				write()
+			if co.finishErr == nil {
+				if err := co.WriteCheckpointFile(co.cfg.CheckpointPath); err != nil {
+					co.ckptErr.Store(&err)
+				}
 			}
 			return
 		}

@@ -337,9 +337,6 @@ type Coordinator struct {
 	// rows mean two sites never write the same cell, but queries read across
 	// all sites.
 	reported [][]int64
-	// buckets pools the per-stripe scratch fold uses to group a frame's
-	// updates by stripe (multi-stripe coordinators only).
-	buckets sync.Pool
 
 	// snap is the last published estimate snapshot (nil until the first
 	// query); rebuildMu serializes rebuilds so concurrent queries do not
@@ -429,7 +426,8 @@ func NewCoordinator(cfg Config, addr string) (*Coordinator, error) {
 	}
 	if cfg.StructBatchEvents > 0 {
 		winEvents, winBlocks := cfg.structWindow()
-		if co.structs, err = newStructEngine(netw, cfg.Sites, winEvents, winBlocks); err != nil {
+		co.structs, err = newStructEngine(netw, cfg.Sites, winEvents, winBlocks)
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -751,14 +749,29 @@ func (co *Coordinator) foldStruct(site uint32, siteEvents uint64, ups []Update) 
 	return co.structs.apply(site, siteEvents, ups)
 }
 
-// fold folds one decoded frame into the reported matrix: one pass buckets
-// the frame's updates by stripe, then each touched stripe is locked once,
-// applied in ascending stripe order, and has its version bumped. Reports are
-// monotone local counts; the maximum is kept to stay robust to reordering
-// within a stream — the same property that makes resume replays and
-// duplicated frames idempotent. The rows keep their own loop rather than a
-// maxVec each: the stripe locks, not a per-site lock, guard them.
-func (co *Coordinator) fold(site uint32, ups []Update) error {
+// fold folds one site's decoded counter updates into the reported matrix,
+// bucketing by stripe in p's reader-owned scratch. The rows keep their own
+// loop rather than a maxVec each: the stripe locks, not a per-site lock,
+// guard them.
+func (co *Coordinator) fold(p *peer, site uint32, ups []Update) error {
+	if p.buckets == nil {
+		p.buckets = make([][]Update, len(co.stripes))
+	}
+	if err := co.applyUpdates(site, ups, p.buckets); err != nil {
+		return err
+	}
+	co.updates.Add(int64(len(ups)))
+	return nil
+}
+
+// applyUpdates folds one decoded frame into the reported matrix: one pass
+// buckets the frame's updates by stripe (buckets is the caller's reusable
+// per-stripe scratch), then each touched stripe is locked once, applied in
+// ascending stripe order, and has its version bumped. Reports are monotone
+// local counts; the maximum is kept to stay robust to reordering within a
+// stream — the same property that makes resume replays and duplicated
+// frames idempotent.
+func (co *Coordinator) applyUpdates(site uint32, ups []Update, buckets [][]Update) error {
 	lo, hi := co.ownLo, co.ownHi
 	for _, u := range ups {
 		if u.Counter < lo || u.Counter >= hi {
@@ -767,22 +780,24 @@ func (co *Coordinator) fold(site uint32, ups []Update) error {
 	}
 	row := co.reported[site]
 	nStripes := uint32(len(co.stripes))
-	single := [1][]Update{ups}
-	buckets := single[:]
-	if nStripes > 1 {
-		bp, _ := co.buckets.Get().(*[][]Update)
-		if bp == nil {
-			b := make([][]Update, nStripes)
-			bp = &b
-		}
-		defer co.buckets.Put(bp)
-		buckets = *bp
+	if nStripes == 1 {
+		st := &co.stripes[0]
+		st.mu.Lock()
 		for _, u := range ups {
-			s := u.Counter % nStripes
-			buckets[s] = append(buckets[s], u)
+			if u.LocalCount > row[u.Counter-lo] {
+				row[u.Counter-lo] = u.LocalCount
+			}
 		}
+		st.version.Add(1)
+		st.mu.Unlock()
+		return nil
 	}
-	for s, b := range buckets {
+	for _, u := range ups {
+		s := u.Counter % nStripes
+		buckets[s] = append(buckets[s], u)
+	}
+	for s := range buckets {
+		b := buckets[s]
 		if len(b) == 0 {
 			continue
 		}
@@ -797,30 +812,41 @@ func (co *Coordinator) fold(site uint32, ups []Update) error {
 		st.mu.Unlock()
 		buckets[s] = b[:0]
 	}
-	co.updates.Add(int64(len(ups)))
 	return nil
 }
 
+// stripeOf returns the stripe guarding counter id.
+func (co *Coordinator) stripeOf(id uint32) *coStripe {
+	return &co.stripes[id%uint32(len(co.stripes))]
+}
+
+// estimateLocked computes counter id's estimate from the reported matrix:
+// the sum over sites of the last reported local count plus the trailing-gap
+// adjustment (see layout.go). Callers hold id's stripe lock and guarantee id
+// is owned.
+func (co *Coordinator) estimateLocked(id uint32) float64 {
+	eps := co.layout.Eps(id)
+	est := 0.0
+	for site := 0; site < co.cfg.Sites; site++ {
+		r := co.reported[site][id-co.ownLo]
+		est += float64(r) + adjustmentSqrtK(co.cfg.Sites, co.sqrtK, eps, r)
+	}
+	return est
+}
+
 // Estimate returns the coordinator's current estimate of a counter's global
-// count — the sum over sites of the last reported local count plus the
-// trailing-gap adjustment (see layout.go) — read live under the counter's
-// stripe lock. Valid at any time: during a run it reflects the reports
-// received so far. On a striped coordinator only owned ids have state; an
-// unowned id estimates 0 (query through Federation to scatter-gather across
-// the stripes).
+// count, read live under the counter's stripe lock. Valid at any time —
+// during a run it reflects the reports received so far. On a striped
+// coordinator only owned ids have state; an unowned id estimates 0 (query
+// through Federation to scatter-gather across the stripes).
 func (co *Coordinator) Estimate(id uint32) float64 {
 	if id < co.ownLo || id >= co.ownHi {
 		return 0
 	}
-	st := &co.stripes[id%uint32(len(co.stripes))]
+	st := co.stripeOf(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	eps, est := co.layout.Eps(id), 0.0
-	for _, row := range co.reported {
-		r := row[id-co.ownLo]
-		est += float64(r) + adjustmentSqrtK(co.cfg.Sites, co.sqrtK, eps, r)
-	}
-	return est
+	return co.estimateLocked(id)
 }
 
 // snapFresh reports whether snap matches every stripe's live version.
@@ -874,7 +900,7 @@ func (co *Coordinator) snapshot() *estSnapshot {
 		// Site-major walk: one pass per site row keeps the reads contiguous
 		// within a row instead of striding across every site's row once per
 		// counter. Accumulation order (site 0..k-1 from zero) matches
-		// Estimate's, so both paths stay bit-identical.
+		// estimateLocked's, so both paths stay bit-identical.
 		if nStripes == 1 {
 			// The single stripe owns every owned id: walk the layout's
 			// equal-eps sections, clipped to the owned range, so the per-id
@@ -939,7 +965,17 @@ func (co *Coordinator) snapshot() *estSnapshot {
 // reflects the reports received so far — the paper's query-at-any-time
 // model — and after Serve returns it is the final estimate.
 func (co *Coordinator) QueryProb(x []int) float64 {
-	return queryEstimates(co.net, co.layout, co.snapshot().est, x)
+	est := co.snapshot().est
+	p := 1.0
+	for i := 0; i < co.net.Len(); i++ {
+		pidx := co.net.ParentIndex(i, x)
+		den := est[co.layout.ParID(i, pidx)]
+		if den <= 0 {
+			return 0
+		}
+		p *= est[co.layout.PairID(i, x[i], pidx)] / den
+	}
+	return p
 }
 
 // EstimatedModel materializes the tracked parameters into a normalized
@@ -948,7 +984,33 @@ func (co *Coordinator) QueryProb(x []int) float64 {
 // parent configuration has no mass become uniform. Valid at any time, like
 // QueryProb.
 func (co *Coordinator) EstimatedModel() (*bn.Model, error) {
-	return co.snapshot().modelFor(co.net, co.layout)
+	return co.modelFor(co.snapshot())
+}
+
+// modelFor returns snap's cached normalized model, building and publishing
+// it on first use — shared by EstimatedModel and the serving layer's
+// Snapshot.Model.
+func (co *Coordinator) modelFor(snap *estSnapshot) (*bn.Model, error) {
+	if m := snap.model.Load(); m != nil {
+		return m, nil
+	}
+	est := snap.est
+	m, err := bn.NewNormalizedModel(co.net, func(i int, tbl []float64) {
+		j, k := co.net.Card(i), co.net.ParentCard(i)
+		for pidx := 0; pidx < k; pidx++ {
+			den := est[co.layout.ParID(i, pidx)]
+			for v := 0; v < j; v++ {
+				if den > 0 {
+					tbl[pidx*j+v] = est[co.layout.PairID(i, v, pidx)] / den
+				}
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	snap.model.Store(m)
+	return m, nil
 }
 
 // RunStats is LiveStats' full point-in-time view of a run: the protocol

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -60,6 +61,14 @@ func (s *FederatedSite) Run() ([]Stats, error) {
 	}
 	b := newBackoff(s.DialAttempts, s.RetryBase, s.RetryCap, 0xfede5a1e^(uint64(s.id)*0x9e3779b97f4a7c15))
 	conns := make([]*conn, k)
+	raws := make([]net.Conn, k)
+	defer func() {
+		for _, raw := range raws {
+			if raw != nil {
+				raw.Close()
+			}
+		}
+	}()
 
 	// Handshake with every stripe; the StartConfigs must agree on everything
 	// but the stripe index (one run, K owners).
@@ -69,7 +78,7 @@ func (s *FederatedSite) Run() ([]Stats, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: site %d dial: %w", s.id, err)
 		}
-		defer raw.Close()
+		raws[i] = raw
 		c := newConn(raw)
 		payload, _, err := handshake(c, frameHello, encodeHello(s.id), frameStart)
 		if err != nil {
@@ -208,7 +217,10 @@ func (s *FederatedSite) Run() ([]Stats, error) {
 	// supervises the whole membership, so each one's closing Events is the
 	// run total.
 	for _, c := range conns {
-		if err := c.send(frameDone, encodeDone(s.id, int64(cfg.Events))); err != nil {
+		if err := c.writeFrame(frameDone, encodeDone(s.id, int64(cfg.Events))); err != nil {
+			return nil, err
+		}
+		if err := c.flush(); err != nil {
 			return nil, err
 		}
 	}
@@ -233,9 +245,19 @@ type Federation struct {
 	layout *Layout
 
 	rebuildMu sync.Mutex
-	// snap is the last merge of the per-stripe snapshots: versions[i] is
-	// part i's snapshot version at merge time, version their sum.
-	snap atomic.Pointer[estSnapshot]
+	snap      atomic.Pointer[fedSnapshot]
+}
+
+// fedSnapshot is one immutable merge of the per-stripe estimate snapshots.
+type fedSnapshot struct {
+	// versions[i] is part i's snapshot version at merge time.
+	versions []uint64
+	est      []float64
+	model    atomic.Pointer[bn.Model]
+	// version is the sum of the per-part versions — monotone non-decreasing,
+	// like a single coordinator's snapshot version.
+	version uint64
+	builtAt time.Time
 }
 
 // NewFederation builds the query plane over the stripe coordinators;
@@ -274,20 +296,31 @@ func (f *Federation) Err() error {
 // Estimate returns the federation's current estimate of a counter's global
 // count, read live from the owning stripe.
 func (f *Federation) Estimate(id uint32) float64 {
+	total := f.layout.NumCounters()
+	if id >= total {
+		return 0
+	}
 	k := uint32(len(f.parts))
-	for s := uint32(0); s < k; s++ {
-		if _, hi := f.layout.StripeRange(s, k); id < hi {
+	// Invert StripeRange: candidate stripe from the uniform split, corrected
+	// for the floor rounding (off by at most one).
+	s := uint32(uint64(id) * uint64(k) / uint64(total))
+	for {
+		lo, hi := f.layout.StripeRange(s, k)
+		if id < lo {
+			s--
+		} else if id >= hi {
+			s++
+		} else {
 			return f.parts[s].Estimate(id)
 		}
 	}
-	return 0
 }
 
 // snapshot returns a current merged snapshot, re-merging only when some
 // stripe's snapshot version moved. The per-part acquisitions reuse each
 // coordinator's own version-validated snapshot, so a federation query
 // against quiescent stripes costs K version comparisons.
-func (f *Federation) snapshot() *estSnapshot {
+func (f *Federation) snapshot() *fedSnapshot {
 	parts := make([]*estSnapshot, len(f.parts))
 	fresh := true
 	old := f.snap.Load()
@@ -302,7 +335,7 @@ func (f *Federation) snapshot() *estSnapshot {
 	}
 	f.rebuildMu.Lock()
 	defer f.rebuildMu.Unlock()
-	ns := &estSnapshot{
+	ns := &fedSnapshot{
 		versions: make([]uint64, len(parts)),
 		est:      make([]float64, f.layout.NumCounters()),
 	}
@@ -320,14 +353,90 @@ func (f *Federation) snapshot() *estSnapshot {
 // QueryProb answers a joint-probability query from the merged estimates —
 // the same Algorithm-3 product a single coordinator computes.
 func (f *Federation) QueryProb(x []int) float64 {
-	return queryEstimates(f.net, f.layout, f.snapshot().est, x)
+	est := f.snapshot().est
+	p := 1.0
+	for i := 0; i < f.net.Len(); i++ {
+		pidx := f.net.ParentIndex(i, x)
+		den := est[f.layout.ParID(i, pidx)]
+		if den <= 0 {
+			return 0
+		}
+		p *= est[f.layout.PairID(i, x[i], pidx)] / den
+	}
+	return p
 }
 
 // EstimatedModel materializes the merged estimates into a normalized
 // bn.Model, cached per merged snapshot.
 func (f *Federation) EstimatedModel() (*bn.Model, error) {
-	return f.snapshot().modelFor(f.net, f.layout)
+	return f.modelFor(f.snapshot())
 }
+
+func (f *Federation) modelFor(snap *fedSnapshot) (*bn.Model, error) {
+	if m := snap.model.Load(); m != nil {
+		return m, nil
+	}
+	est := snap.est
+	m, err := bn.NewNormalizedModel(f.net, func(i int, tbl []float64) {
+		j, k := f.net.Card(i), f.net.ParentCard(i)
+		for pidx := 0; pidx < k; pidx++ {
+			den := est[f.layout.ParID(i, pidx)]
+			for v := 0; v < j; v++ {
+				if den > 0 {
+					tbl[pidx*j+v] = est[f.layout.PairID(i, v, pidx)] / den
+				}
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	snap.model.Store(m)
+	return m, nil
+}
+
+// FedSnapshot is an exported read handle on one merged federation snapshot,
+// offering the same surface as a single coordinator's Snapshot so the
+// serving layer fronts a federation unchanged.
+type FedSnapshot struct {
+	f *Federation
+	s *fedSnapshot
+}
+
+// AcquireSnapshot returns the current merged snapshot.
+func (f *Federation) AcquireSnapshot() *FedSnapshot {
+	return &FedSnapshot{f: f, s: f.snapshot()}
+}
+
+// Factor returns the merged estimate of P[X_i = v | parent config pidx].
+func (s *FedSnapshot) Factor(i, v, pidx int) float64 {
+	den := s.s.est[s.f.layout.ParID(i, pidx)]
+	if den <= 0 {
+		return 0
+	}
+	return s.s.est[s.f.layout.PairID(i, v, pidx)] / den
+}
+
+// Version is the sum of the per-stripe snapshot versions; monotone
+// non-decreasing across acquisitions.
+func (s *FedSnapshot) Version() uint64 { return s.s.version }
+
+// BuiltAt is when the merge was computed.
+func (s *FedSnapshot) BuiltAt() time.Time { return s.s.builtAt }
+
+// Model returns the merged estimates normalized into a bn.Model, built at
+// most once per merged snapshot; immutable.
+func (s *FedSnapshot) Model() (*bn.Model, error) { return s.f.modelFor(s.s) }
+
+// Network returns the tracked base network.
+func (s *FedSnapshot) Network() *bn.Network { return s.f.net }
+
+// StructureEpoch is always 0: striped federation tracks the configured base
+// structure (striping and structure learning are mutually exclusive).
+func (s *FedSnapshot) StructureEpoch() uint64 { return 0 }
+
+// Release is a no-op: merged snapshots carry no pooled resources.
+func (s *FedSnapshot) Release() {}
 
 // RunLocalFederation executes a striped run on loopback TCP: K stripe
 // coordinators (cfg with StripeIndex = 0..K-1, StripeCount = K), cfg.Sites
@@ -343,33 +452,71 @@ func RunLocalFederation(cfg Config, stripes int) (Result, *Federation, error) {
 	}
 	parts := make([]*Coordinator, stripes)
 	addrs := make([]string, stripes)
-	defer func() {
-		for _, p := range parts {
-			if p != nil {
-				p.Close()
-			}
-		}
-	}()
 	for i := range parts {
 		pcfg := cfg
 		pcfg.StripeIndex, pcfg.StripeCount = i, stripes
 		co, err := NewCoordinator(pcfg, "127.0.0.1:0")
 		if err != nil {
+			for _, p := range parts[:i] {
+				p.Close()
+			}
 			return Result{}, nil, err
 		}
 		parts[i] = co
 		addrs[i] = co.Addr()
 	}
+	defer func() {
+		for _, p := range parts {
+			p.Close()
+		}
+	}()
 	fed, err := NewFederation(parts)
 	if err != nil {
 		return Result{}, nil, err
 	}
 
-	results, err := serveSites(parts, cfg.Sites, func(i int) ([]Stats, error) {
-		return NewFederatedSite(uint32(i), addrs).Run()
-	})
-	if err != nil {
-		return Result{}, nil, err
+	type siteOut struct {
+		stats []Stats
+		err   error
+	}
+	outs := make([]siteOut, cfg.Sites)
+	var wg sync.WaitGroup
+	for i := 0; i < cfg.Sites; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			st, err := NewFederatedSite(uint32(i), addrs).Run()
+			outs[i] = siteOut{stats: st, err: err}
+		}(i)
+	}
+
+	results := make([]Result, stripes)
+	errs := make([]error, stripes)
+	var swg sync.WaitGroup
+	for i, co := range parts {
+		swg.Add(1)
+		go func(i int, co *Coordinator) {
+			defer swg.Done()
+			results[i], errs[i] = co.Serve()
+		}(i, co)
+	}
+	swg.Wait()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return Result{}, nil, fmt.Errorf("cluster: stripe %d: %w", i, err)
+		}
+	}
+	for i, o := range outs {
+		if o.err != nil {
+			return Result{}, nil, fmt.Errorf("cluster: federated site %d: %w", i, o.err)
+		}
+		for s := range parts {
+			if o.stats[s] != results[s].Stats {
+				return Result{}, nil, fmt.Errorf("cluster: site %d saw stripe %d stats %+v, coordinator %+v",
+					i, s, o.stats[s], results[s].Stats)
+			}
+		}
 	}
 
 	agg := Result{Stats: Stats{Events: results[0].Stats.Events}}

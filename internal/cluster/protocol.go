@@ -273,13 +273,14 @@ const maxControlFrame = 1 << 12
 // (≤ n entries of 12 bytes); a version-2 frame coalesces a window to at
 // most n entries of ≤ 15 varint bytes plus the count header.
 func updatesPayloadCap(numCounters uint32) uint32 {
-	return clampCap(uint64(binary.MaxVarintLen32) + uint64(numCounters)*(binary.MaxVarintLen32+binary.MaxVarintLen64))
-}
-
-// clampCap bounds a payload cap to [maxControlFrame, maxFrame]: every
-// connection keeps room for the control frames (the done frame above all).
-func clampCap(cap uint64) uint32 {
-	return uint32(min(max(cap, maxControlFrame), maxFrame))
+	cap := uint64(binary.MaxVarintLen32) + uint64(numCounters)*(binary.MaxVarintLen32+binary.MaxVarintLen64)
+	if cap > maxFrame {
+		return maxFrame
+	}
+	if cap < maxControlFrame {
+		return maxControlFrame // keep room for the done frame
+	}
+	return uint32(cap)
 }
 
 // structPayloadCap is the largest well-formed frameStructStats payload for a
@@ -287,8 +288,15 @@ func clampCap(cap uint64) uint32 {
 // updatesPayloadCap, used to widen a connection's read limit when structure
 // learning is on.
 func structPayloadCap(numCells uint32) uint32 {
-	return clampCap(uint64(binary.MaxVarintLen64) + uint64(binary.MaxVarintLen32) +
-		uint64(numCells)*(binary.MaxVarintLen32+binary.MaxVarintLen64))
+	cap := uint64(binary.MaxVarintLen64) + uint64(binary.MaxVarintLen32) +
+		uint64(numCells)*(binary.MaxVarintLen32+binary.MaxVarintLen64)
+	if cap > maxFrame {
+		return maxFrame
+	}
+	if cap < maxControlFrame {
+		return maxControlFrame
+	}
+	return uint32(cap)
 }
 
 // Update is one counter update entry inside a frameUpdates frame.
@@ -297,17 +305,6 @@ type Update struct {
 	Counter uint32
 	// LocalCount is the site's current local count for the counter.
 	LocalCount int64
-}
-
-// appendNonzero appends one Update per nonzero entry of counts, ids
-// ascending from base.
-func appendNonzero(dst []Update, counts []int64, base uint32) []Update {
-	for i, n := range counts {
-		if n != 0 {
-			dst = append(dst, Update{Counter: base + uint32(i), LocalCount: n})
-		}
-	}
-	return dst
 }
 
 // StartConfig is the run configuration shipped to every site.
@@ -940,5 +937,13 @@ func decodeRelayGroups(dst []relayGroup, b []byte, maxSites, innerCap uint32) ([
 // grouped mirror of updatesPayloadCap, used to widen a relay-carrying
 // connection's read limit.
 func relayPayloadCap(numSites, innerCap uint32) uint32 {
-	return clampCap(uint64(binary.MaxVarintLen32) + uint64(numSites)*(2*binary.MaxVarintLen32+uint64(innerCap)))
+	cap := uint64(binary.MaxVarintLen32) +
+		uint64(numSites)*(2*binary.MaxVarintLen32+uint64(innerCap))
+	if cap > maxFrame {
+		return maxFrame
+	}
+	if cap < maxControlFrame {
+		return maxControlFrame
+	}
+	return uint32(cap)
 }

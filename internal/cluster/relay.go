@@ -392,7 +392,7 @@ func (r *Relay) join(p *peer, site uint32, kind byte, inner []byte) error {
 
 // fold and foldStruct max-merge one site's decoded counter updates or
 // structure statistics into its folded vector and signal the flusher.
-func (r *Relay) fold(site uint32, ups []Update) error {
+func (r *Relay) fold(_ *peer, site uint32, ups []Update) error {
 	return r.merge(&r.counts[site], r.s.counters, site, 0, ups)
 }
 

@@ -35,6 +35,21 @@ func RunLocal(cfg Config) (Result, *Coordinator, error) {
 	}
 	defer co.Close()
 
+	type siteOut struct {
+		stats Stats
+		err   error
+	}
+	outs := make([]siteOut, cfg.Sites)
+	var wg sync.WaitGroup
+	for i := 0; i < cfg.Sites; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			st, err := NewSite(uint32(i), co.Addr()).Run()
+			outs[i] = siteOut{stats: st, err: err}
+		}(i)
+	}
+
 	// The mid-run query mix: hammer the live query paths until Serve is
 	// done. Queries race ingestion by design — that is the scenario the
 	// striped snapshot machinery exists for.
@@ -50,75 +65,23 @@ func RunLocal(cfg Config) (Result, *Coordinator, error) {
 		}()
 	}
 
-	res, err := serveFlat(co, cfg.Sites, func(i int) (Stats, error) {
-		return NewSite(uint32(i), co.Addr()).Run()
-	})
+	res, serveErr := co.Serve()
 	close(stop)
 	qwg.Wait()
-	if err != nil {
-		return Result{}, nil, err
+	wg.Wait()
+	if serveErr != nil {
+		return Result{}, nil, serveErr
+	}
+	for i, o := range outs {
+		if o.err != nil {
+			return Result{}, nil, fmt.Errorf("cluster: site %d: %w", i, o.err)
+		}
+		if o.stats != res.Stats {
+			return Result{}, nil, fmt.Errorf("cluster: site %d saw stats %+v, coordinator %+v", i, o.stats, res.Stats)
+		}
 	}
 	res.LiveQueries = queries.Load()
 	return res, co, nil
-}
-
-// serveSites runs sites site goroutines — run(i) is site i's whole life,
-// returning the closing stats it got from each coordinator — beside every
-// coordinator's Serve, joins them all, and checks that every site saw each
-// coordinator's closing stats.
-func serveSites(parts []*Coordinator, sites int, run func(i int) ([]Stats, error)) ([]Result, error) {
-	stats := make([][]Stats, sites)
-	siteErrs := make([]error, sites)
-	results := make([]Result, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i := 0; i < sites; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stats[i], siteErrs[i] = run(i)
-		}()
-	}
-	for k, co := range parts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[k], errs[k] = co.Serve()
-		}()
-	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil && len(parts) > 1 {
-			err = fmt.Errorf("cluster: stripe %d: %w", k, err)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	for i, err := range siteErrs {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: site %d: %w", i, err)
-		}
-		for k := range parts {
-			if stats[i][k] != results[k].Stats {
-				return nil, fmt.Errorf("cluster: site %d saw stats %+v from coordinator %d, which reports %+v",
-					i, stats[i][k], k, results[k].Stats)
-			}
-		}
-	}
-	return results, nil
-}
-
-// serveFlat is serveSites for one coordinator and plain sites.
-func serveFlat(co *Coordinator, sites int, run func(i int) (Stats, error)) (Result, error) {
-	res, err := serveSites([]*Coordinator{co}, sites, func(i int) ([]Stats, error) {
-		st, err := run(i)
-		return []Stats{st}, err
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	return res[0], nil
 }
 
 // ChurnConfig parameterizes RunLocalChurn's deterministic site churn.
@@ -147,31 +110,54 @@ func RunLocalChurn(cfg Config, churn ChurnConfig) (Result, *Coordinator, error) 
 	}
 	defer co.Close()
 
-	res, err := serveFlat(co, cfg.Sites, func(i int) (Stats, error) {
-		rng := bn.NewRNG(churn.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
-		ev := uint64(cfg.eventsFor(uint32(i)))
-		// Ascending crash points: each incarnation must outlive the previous
-		// crash position or the schedule would livelock.
-		points := make([]uint64, 0, churn.CrashesPerSite)
-		for ev > 0 && len(points) < churn.CrashesPerSite {
-			p := 1 + uint64(rng.Intn(int(ev)))
-			if len(points) == 0 || p > points[len(points)-1] {
-				points = append(points, p)
-			} else {
-				break // tail of the schedule collapsed; fewer crashes, still valid
+	type siteOut struct {
+		stats Stats
+		err   error
+	}
+	outs := make([]siteOut, cfg.Sites)
+	var wg sync.WaitGroup
+	for i := 0; i < cfg.Sites; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rng := bn.NewRNG(churn.Seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
+			ev := uint64(cfg.eventsFor(uint32(i)))
+			// Ascending crash points: each incarnation must outlive the
+			// previous crash position or the schedule would livelock.
+			points := make([]uint64, 0, churn.CrashesPerSite)
+			for ev > 0 && len(points) < churn.CrashesPerSite {
+				p := 1 + uint64(rng.Intn(int(ev)))
+				if len(points) == 0 || p > points[len(points)-1] {
+					points = append(points, p)
+				} else {
+					break // tail of the schedule collapsed; fewer crashes, still valid
+				}
 			}
-		}
-		for _, p := range points {
-			s := NewSite(uint32(i), co.Addr())
-			s.CrashAfterEvents = p
-			if _, err := s.Run(); !errors.Is(err, ErrSiteCrashed) {
-				return Stats{}, fmt.Errorf("cluster: churn site %d: crash hook returned %v, want ErrSiteCrashed", i, err)
+			for _, p := range points {
+				s := NewSite(uint32(i), co.Addr())
+				s.CrashAfterEvents = p
+				if _, err := s.Run(); !errors.Is(err, ErrSiteCrashed) {
+					outs[i] = siteOut{err: fmt.Errorf("cluster: churn site %d: crash hook returned %v, want ErrSiteCrashed", i, err)}
+					return
+				}
 			}
+			st, err := NewSite(uint32(i), co.Addr()).Run()
+			outs[i] = siteOut{stats: st, err: err}
+		}(i)
+	}
+
+	res, serveErr := co.Serve()
+	wg.Wait()
+	if serveErr != nil {
+		return Result{}, nil, serveErr
+	}
+	for i, o := range outs {
+		if o.err != nil {
+			return Result{}, nil, fmt.Errorf("cluster: site %d: %w", i, o.err)
 		}
-		return NewSite(uint32(i), co.Addr()).Run()
-	})
-	if err != nil {
-		return Result{}, nil, err
+		if o.stats != res.Stats {
+			return Result{}, nil, fmt.Errorf("cluster: site %d saw stats %+v, coordinator %+v", i, o.stats, res.Stats)
+		}
 	}
 	return res, co, nil
 }
@@ -194,28 +180,52 @@ func RunLocalTree(cfg Config, branching int, flush time.Duration) (Result, *Coor
 	}
 	defer co.Close()
 
-	relays := make([]*Relay, (cfg.Sites+branching-1)/branching)
-	defer func() {
-		for _, r := range relays {
-			if r != nil {
-				r.Close() // joins r.Run
-			}
-		}
-	}()
+	nRelays := (cfg.Sites + branching - 1) / branching
+	relays := make([]*Relay, nRelays)
 	for i := range relays {
 		r, err := NewRelay(RelayConfig{ID: uint32(i), Parent: co.Addr(), FlushInterval: flush}, "127.0.0.1:0")
 		if err != nil {
+			for _, r := range relays[:i] {
+				r.Close()
+			}
 			return Result{}, nil, nil, err
 		}
 		relays[i] = r
 		go r.Run()
 	}
+	defer func() {
+		for _, r := range relays {
+			r.Close() // joins r.Run
+		}
+	}()
 
-	res, err := serveFlat(co, cfg.Sites, func(i int) (Stats, error) {
-		return NewSite(uint32(i), relays[i/branching].Addr()).Run()
-	})
-	if err != nil {
-		return Result{}, nil, nil, err
+	type siteOut struct {
+		stats Stats
+		err   error
+	}
+	outs := make([]siteOut, cfg.Sites)
+	var wg sync.WaitGroup
+	for i := 0; i < cfg.Sites; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			st, err := NewSite(uint32(i), relays[i/branching].Addr()).Run()
+			outs[i] = siteOut{stats: st, err: err}
+		}(i)
+	}
+
+	res, serveErr := co.Serve()
+	wg.Wait()
+	if serveErr != nil {
+		return Result{}, nil, nil, serveErr
+	}
+	for i, o := range outs {
+		if o.err != nil {
+			return Result{}, nil, nil, fmt.Errorf("cluster: site %d: %w", i, o.err)
+		}
+		if o.stats != res.Stats {
+			return Result{}, nil, nil, fmt.Errorf("cluster: site %d saw stats %+v, coordinator %+v", i, o.stats, res.Stats)
+		}
 	}
 	return res, co, relays, nil
 }

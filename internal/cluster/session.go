@@ -25,8 +25,9 @@ type sessionRole interface {
 	// a detach of every site it carried. An error ends p's connection,
 	// except errRunOver on a relay peer, which only refuses the one site.
 	join(p *peer, site uint32, kind byte, inner []byte) error
-	// fold merges one site's decoded counter updates.
-	fold(site uint32, ups []Update) error
+	// fold merges one site's decoded counter updates arriving on p; it runs
+	// on p's reader.
+	fold(p *peer, site uint32, ups []Update) error
 	// foldStruct merges one site's decoded structure statistics.
 	foldStruct(site uint32, siteEvents uint64, ups []Update) error
 	// frame notes one frame received after a handshake.
@@ -50,6 +51,8 @@ type peer struct {
 	relay bool
 	// wmu serializes writers: join replies race the closing stats.
 	wmu sync.Mutex
+	// buckets is scratch owned by p's reader for the role's fold.
+	buckets [][]Update
 }
 
 // send writes one control frame addressed to site and flushes it.
@@ -373,7 +376,7 @@ func (s *session) readSite(p *peer, site uint32) error {
 		s.role.frame()
 		switch t {
 		case frameUpdates, frameUpdates2, frameStructStats:
-			if ups, err = s.fold(site, t, payload, ups); err != nil {
+			if ups, err = s.fold(p, site, t, payload, ups); err != nil {
 				return err
 			}
 		case frameDone:
@@ -418,7 +421,7 @@ func (s *session) readRelay(p *peer) error {
 				return err
 			}
 			for _, g := range groups {
-				if ups, err = s.fold(g.Site, inner, g.Payload, ups); err != nil {
+				if ups, err = s.fold(p, g.Site, inner, g.Payload, ups); err != nil {
 					return err
 				}
 			}
@@ -428,18 +431,18 @@ func (s *session) readRelay(p *peer) error {
 	}
 }
 
-// fold decodes one site-level data frame into ups (reused) and hands it to
-// the role.
-func (s *session) fold(site uint32, t byte, payload []byte, ups []Update) ([]Update, error) {
+// fold decodes one site-level data frame arriving on p into ups (reused)
+// and hands it to the role.
+func (s *session) fold(p *peer, site uint32, t byte, payload []byte, ups []Update) ([]Update, error) {
 	var err error
 	switch t {
 	case frameUpdates:
 		if ups, err = decodeUpdates(ups, payload); err == nil {
-			err = s.role.fold(site, ups)
+			err = s.role.fold(p, site, ups)
 		}
 	case frameUpdates2:
 		if ups, err = decodeUpdates2(ups, payload, s.counters); err == nil {
-			err = s.role.fold(site, ups)
+			err = s.role.fold(p, site, ups)
 		}
 	case frameStructStats:
 		if s.cells == 0 {

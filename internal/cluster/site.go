@@ -297,7 +297,10 @@ func (s *Site) runConn(raw net.Conn, pst **siteRun) (Stats, bool, error) {
 	if !st.doneSent {
 		// The Done marker carries the site's full event count; the
 		// coordinator deduplicates, so re-sending after a resume is safe.
-		if err := c.send(frameDone, encodeDone(s.id, int64(st.cfg.Events))); err != nil {
+		if err := c.writeFrame(frameDone, encodeDone(s.id, int64(st.cfg.Events))); err != nil {
+			return Stats{}, false, err
+		}
+		if err := c.flush(); err != nil {
 			return Stats{}, false, err
 		}
 	}
@@ -313,7 +316,12 @@ func (s *Site) runConn(raw net.Conn, pst **siteRun) (Stats, bool, error) {
 // construction: every replayed count is ≤ the count an uninterrupted run
 // would have delivered by now, and the coordinator keeps the max.
 func (s *Site) replay(c *conn, st *siteRun) error {
-	st.ups = appendNonzero(st.ups[:0], st.lastReported, 0)
+	st.ups = st.ups[:0]
+	for id, n := range st.lastReported {
+		if n != 0 {
+			st.ups = append(st.ups, Update{Counter: uint32(id), LocalCount: n})
+		}
+	}
 	if st.batch != nil {
 		// The pending window is subsumed by lastReported (both record the
 		// latest decision); drop it so it is not re-flushed at the next
@@ -345,9 +353,17 @@ func (s *Site) shipStructStats(c *conn, st *siteRun) error {
 	if st.structCounts == nil || st.next == 0 {
 		return nil
 	}
-	st.ups = appendNonzero(st.ups[:0], st.structCounts, 0)
+	st.ups = st.ups[:0]
+	for id, n := range st.structCounts {
+		if n != 0 {
+			st.ups = append(st.ups, Update{Counter: uint32(id), LocalCount: n})
+		}
+	}
 	st.buf = encodeStructStats(st.buf, st.next, st.ups)
-	return c.send(frameStructStats, st.buf)
+	if err := c.writeFrame(frameStructStats, st.buf); err != nil {
+		return err
+	}
+	return c.flush()
 }
 
 // handshake sends one control frame and reads the reply, which must have

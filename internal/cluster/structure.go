@@ -322,7 +322,7 @@ func (e *structEngine) relearnLocked() {
 	e.relearns++
 
 	old := e.state.Load()
-	changed := old == nil || !sameUndirected(parent, old.parent)
+	changed := old == nil || !sameUndirected(parent, old.parent, n)
 	epoch := uint64(1)
 	if old != nil {
 		epoch = old.epoch
@@ -332,10 +332,7 @@ func (e *structEngine) relearnLocked() {
 		}
 	}
 
-	var netw *bn.Network
-	if old != nil {
-		netw = old.net
-	}
+	netw := old.netOrNil()
 	if changed || netw == nil {
 		vars := make([]bn.Variable, n)
 		for i := 0; i < n; i++ {
@@ -368,6 +365,14 @@ func (e *structEngine) relearnLocked() {
 	e.state.Store(ns)
 }
 
+// netOrNil tolerates a nil receiver so the first relearn reads naturally.
+func (s *structState) netOrNil() *bn.Network {
+	if s == nil {
+		return nil
+	}
+	return s.net
+}
+
 // seedFactorsLocked materializes the learned tree's CPD estimates straight
 // from the windowed pair statistics: for a tree, a variable's pair joint
 // counts with its parent are exactly the CPT sufficient statistics, and
@@ -379,14 +384,23 @@ func (e *structEngine) seedFactorsLocked(win []int64, learned *bn.Network) ([][]
 	n := e.net.Len()
 	marg := make([][]int64, n)
 	for i := 0; i < n; i++ {
-		j := i + 1 // any partner will do: every event increments every pair
-		if j == n {
-			j = i - 1
-		}
-		marg[i] = make([]int64, e.net.Card(i))
-		for vi := range marg[i] {
-			for vj := 0; vj < e.net.Card(j); vj++ {
-				marg[i][vi] += e.pairCount(win, i, vi, j, vj)
+		ci := e.net.Card(i)
+		marg[i] = make([]int64, ci)
+		if i+1 < n {
+			joint := e.layout.JointAt(win, e.layout.PairIndex(i, i+1))
+			cj := e.net.Card(i + 1)
+			for vi := 0; vi < ci; vi++ {
+				for vj := 0; vj < cj; vj++ {
+					marg[i][vi] += joint[vi*cj+vj]
+				}
+			}
+		} else {
+			joint := e.layout.JointAt(win, e.layout.PairIndex(i-1, i))
+			cp := e.net.Card(i - 1)
+			for vp := 0; vp < cp; vp++ {
+				for vi := 0; vi < ci; vi++ {
+					marg[i][vi] += joint[vp*ci+vi]
+				}
 			}
 		}
 	}
@@ -414,11 +428,23 @@ func (e *structEngine) seedFactorsLocked(win []int64, learned *bn.Network) ([][]
 		p := ps[0]
 		cp := learned.Card(p)
 		tbl := make([]float64, cp*ci)
+		lo, hi := i, p
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		joint := e.layout.JointAt(win, e.layout.PairIndex(lo, hi))
+		cHi := e.net.Card(hi)
 		for pv := 0; pv < cp; pv++ {
 			den := marg[p][pv]
 			for v := 0; v < ci; v++ {
+				var c int64
+				if i < p { // joint rows indexed by X_i
+					c = joint[v*cHi+pv]
+				} else { // joint rows indexed by X_p
+					c = joint[pv*cHi+v]
+				}
 				if den > 0 {
-					tbl[pv*ci+v] = float64(e.pairCount(win, i, v, p, pv)) / float64(den)
+					tbl[pv*ci+v] = float64(c) / float64(den)
 				} else {
 					tbl[pv*ci+v] = 1 / float64(ci)
 				}
@@ -429,27 +455,34 @@ func (e *structEngine) seedFactorsLocked(win []int64, learned *bn.Network) ([][]
 	return factors, total
 }
 
-// pairCount returns the windowed co-occurrence count of (X_i = vi,
-// X_j = vj) for i ≠ j, in either order.
-func (e *structEngine) pairCount(win []int64, i, vi, j, vj int) int64 {
-	if i > j {
-		i, vi, j, vj = j, vj, i, vi
-	}
-	return e.layout.JointAt(win, e.layout.PairIndex(i, j))[vi*e.net.Card(j)+vj]
-}
-
 // sameUndirected reports whether two parent vectors describe the same
 // undirected edge set.
-func sameUndirected(a, b []int) bool {
-	covers := func(x, y []int) bool {
-		for i, p := range x {
-			if p >= 0 && y[i] != p && y[p] != i {
-				return false
+func sameUndirected(a, b []int, n int) bool {
+	type edge [2]int
+	canon := func(parent []int) map[edge]bool {
+		m := make(map[edge]bool, n)
+		for i, p := range parent {
+			if p < 0 {
+				continue
 			}
+			lo, hi := i, p
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			m[edge{lo, hi}] = true
 		}
-		return true
+		return m
 	}
-	return covers(a, b) && covers(b, a)
+	ea, eb := canon(a), canon(b)
+	if len(ea) != len(eb) {
+		return false
+	}
+	for e := range ea {
+		if !eb[e] {
+			return false
+		}
+	}
+	return true
 }
 
 // stats returns the overlay's communication/learning tallies.

@@ -11,13 +11,10 @@ import (
 // layer (internal/serve), mirroring core.Tracker's Snapshot. Valid at any
 // time: mid-run it reflects the reports received so far (the paper's
 // query-at-any-time model), after Serve returns it is the final estimate.
-type Snapshot struct{ estHandle }
-
-// FedSnapshot is an exported read handle on one merged federation snapshot,
-// offering the same surface as a single coordinator's Snapshot so the
-// serving layer fronts a federation unchanged. Its Version is the sum of
-// the per-stripe snapshot versions.
-type FedSnapshot struct{ estHandle }
+type Snapshot struct {
+	co *Coordinator
+	s  *estSnapshot
+}
 
 // AcquireSnapshot returns the current estimate snapshot, rebuilding only
 // the stripes whose version moved since the cached one was built (a
@@ -25,97 +22,41 @@ type FedSnapshot struct{ estHandle }
 // one bulk pass). Estimate snapshots are garbage-collected, so Release is
 // a no-op — it exists to satisfy the serving layer's Snapshot contract.
 func (co *Coordinator) AcquireSnapshot() *Snapshot {
-	return &Snapshot{estHandle{co.net, co.layout, co.snapshot()}}
-}
-
-// AcquireSnapshot returns the current merged snapshot.
-func (f *Federation) AcquireSnapshot() *FedSnapshot {
-	return &FedSnapshot{estHandle{f.net, f.layout, f.snapshot()}}
-}
-
-// estHandle implements the serving layer's Snapshot contract over one
-// estimate snapshot, for Snapshot and FedSnapshot alike.
-type estHandle struct {
-	net    *bn.Network
-	layout *Layout
-	s      *estSnapshot
+	return &Snapshot{co: co, s: co.snapshot()}
 }
 
 // Factor returns the tracked estimate of P[X_i = v | parent config pidx]:
 // the pair estimate over the parent estimate, or 0 when the parent
-// configuration has no mass — exactly the factor QueryProb multiplies.
-func (h *estHandle) Factor(i, v, pidx int) float64 {
-	return estimateFactor(h.layout, h.s.est, i, v, pidx)
-}
-
-// Version identifies the reported-count state the snapshot was built from;
-// monotone non-decreasing across acquisitions from one source.
-func (h *estHandle) Version() uint64 { return h.s.version }
-
-// BuiltAt is when the snapshot's estimates were computed.
-func (h *estHandle) BuiltAt() time.Time { return h.s.builtAt }
-
-// Model returns the snapshot's estimates normalized into a bn.Model, built
-// at most once per snapshot (the same cache EstimatedModel uses); immutable.
-func (h *estHandle) Model() (*bn.Model, error) { return h.s.modelFor(h.net, h.layout) }
-
-// Network returns the tracked base network — fixed for the run; the
-// learned-structure view is LearnedSnapshot, not this.
-func (h *estHandle) Network() *bn.Network { return h.net }
-
-// StructureEpoch is always 0: these snapshots track the configured base
-// structure, which never changes (striping and structure learning are
-// mutually exclusive).
-func (h *estHandle) StructureEpoch() uint64 { return 0 }
-
-// Release is a no-op: estimate snapshots carry no pooled resources.
-func (h *estHandle) Release() {}
-
-// estimateFactor returns the estimate of P[X_i = v | parent config pidx]
-// from an estimate vector: the pair estimate over the parent estimate, or 0
-// when the parent configuration has no mass.
-func estimateFactor(l *Layout, est []float64, i, v, pidx int) float64 {
-	den := est[l.ParID(i, pidx)]
+// configuration has no mass — exactly the factor the coordinator's own
+// QueryProb multiplies.
+func (s *Snapshot) Factor(i, v, pidx int) float64 {
+	den := s.s.est[s.co.layout.ParID(i, pidx)]
 	if den <= 0 {
 		return 0
 	}
-	return est[l.PairID(i, v, pidx)] / den
+	return s.s.est[s.co.layout.PairID(i, v, pidx)] / den
 }
 
-// queryEstimates answers a joint-probability query from an estimate vector
-// (Algorithm 3): the product of x's factors, 0 as soon as a parent
-// configuration has no mass.
-func queryEstimates(netw *bn.Network, l *Layout, est []float64, x []int) float64 {
-	p := 1.0
-	for i := 0; i < netw.Len(); i++ {
-		pidx := netw.ParentIndex(i, x)
-		den := est[l.ParID(i, pidx)]
-		if den <= 0 {
-			return 0
-		}
-		p *= est[l.PairID(i, x[i], pidx)] / den
-	}
-	return p
+// Version identifies the reported-count state the snapshot was built from;
+// monotone non-decreasing across acquisitions from one coordinator.
+func (s *Snapshot) Version() uint64 { return s.s.version }
+
+// BuiltAt is when the snapshot's estimates were computed.
+func (s *Snapshot) BuiltAt() time.Time { return s.s.builtAt }
+
+// Model returns the snapshot's estimates normalized into a bn.Model, built
+// at most once per snapshot (the same cache EstimatedModel uses); immutable.
+func (s *Snapshot) Model() (*bn.Model, error) {
+	return s.co.modelFor(s.s)
 }
 
-// modelFor returns the snapshot's estimates normalized into a bn.Model,
-// building and caching it on first use; rows whose parent configuration has
-// no mass become uniform.
-func (snap *estSnapshot) modelFor(netw *bn.Network, l *Layout) (*bn.Model, error) {
-	if m := snap.model.Load(); m != nil {
-		return m, nil
-	}
-	m, err := bn.NewNormalizedModel(netw, func(i int, tbl []float64) {
-		j := netw.Card(i)
-		for pidx := 0; pidx < netw.ParentCard(i); pidx++ {
-			for v := 0; v < j; v++ {
-				tbl[pidx*j+v] = estimateFactor(l, snap.est, i, v, pidx)
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	snap.model.Store(m)
-	return m, nil
-}
+// Network returns the tracked base network — fixed for the run; the
+// learned-structure view is LearnedSnapshot, not this.
+func (s *Snapshot) Network() *bn.Network { return s.co.net }
+
+// StructureEpoch is always 0: the flat coordinator snapshot tracks the
+// configured base structure, which never changes.
+func (s *Snapshot) StructureEpoch() uint64 { return 0 }
+
+// Release is a no-op: estimate snapshots carry no pooled resources.
+func (s *Snapshot) Release() {}
