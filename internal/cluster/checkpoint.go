@@ -306,24 +306,22 @@ func (co *Coordinator) LastCheckpointError() error {
 // frame enqueues (nonblocking, so the ingest hot path never waits on file
 // IO) and writes one final checkpoint when the run completes, so a
 // coordinator restarted after completion serves stats immediately. A
-// cadence request still pending when the run ends is dropped, so a killed
-// coordinator writes nothing after the kill, as with a real crash. The loop
-// is owned by the session, so Close (or a killed Serve) returns only after
-// a write in progress has finished.
+// request made before the run ended is still written if the writer had not
+// started it yet: otherwise whether a killed coordinator leaves the cadence
+// checkpoints its frame count has passed would depend on goroutine
+// scheduling. frame makes no request once the run has ended, so the last
+// write of a killed coordinator is one requested before the kill. The loop
+// is owned by the session: Close (or a killed Serve) returns only after
+// that write has finished.
 func (co *Coordinator) checkpointLoop() {
 	for {
 		select {
 		case <-co.ckptCh:
-			// select picks at random among ready cases; a request that
-			// raced the end of the run is left to the finish case.
-			if over, _ := co.finished(); over {
-				continue
-			}
 			if err := co.WriteCheckpointFile(co.cfg.CheckpointPath); err != nil {
 				co.ckptErr.Store(&err)
 			}
 		case <-co.finishCh:
-			if co.finishErr == nil {
+			if len(co.ckptCh) > 0 || co.finishErr == nil {
 				if err := co.WriteCheckpointFile(co.cfg.CheckpointPath); err != nil {
 					co.ckptErr.Store(&err)
 				}

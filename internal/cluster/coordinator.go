@@ -482,8 +482,8 @@ func (co *Coordinator) Addr() string { return co.s.ln.Addr().String() }
 // returned it is a plain resource release; called while Serve is running it
 // is an abrupt stop — Serve returns ErrCoordinatorClosed without
 // distributing stats, the chaos tests' stand-in for kill -9 (no final
-// checkpoint is written; only the periodic cadence ones survive, as with a
-// real crash).
+// checkpoint is written; only the periodic cadence ones requested before
+// the stop survive, and Close waits for one still being written).
 func (co *Coordinator) Close() error {
 	co.stop()
 	co.s.wait()
@@ -737,9 +737,13 @@ func (co *Coordinator) frame() {
 		co.stop()
 	}
 	if co.ckptEvery > 0 && n%co.ckptEvery == 0 {
-		select {
-		case co.ckptCh <- struct{}{}:
-		default: // a checkpoint is already pending; cadence resumes next tick
+		// No request once the run has ended: a killed coordinator writes
+		// only checkpoints requested before the kill.
+		if over, _ := co.finished(); !over {
+			select {
+			case co.ckptCh <- struct{}{}:
+			default: // a checkpoint is already pending; cadence resumes next tick
+			}
 		}
 	}
 }

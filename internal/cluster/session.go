@@ -474,7 +474,7 @@ type maxVec struct {
 
 // merge max-merges ups into v, sizing it to n cells on first use, and
 // passes each raised cell's increase to raised when it is non-nil.
-func (v *maxVec) merge(n uint32, ups []Update, raised func(id uint32, delta int64)) error {
+func (v *maxVec) merge(n uint32, ups []Update, raised func(cell int, delta int64)) error {
 	if v.counts == nil {
 		v.counts, v.dirty = make([]int64, n), make([]bool, n)
 	}
@@ -487,7 +487,7 @@ func (v *maxVec) merge(n uint32, ups []Update, raised func(id uint32, delta int6
 			v.dirty[u.Counter] = true
 			v.any = true
 			if raised != nil {
-				raised(u.Counter, u.LocalCount-old)
+				raised(int(u.Counter), u.LocalCount-old)
 			}
 		}
 	}

@@ -289,7 +289,7 @@ func (e *structEngine) apply(site uint32, siteEvents uint64, ups []Update) error
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	row, win := &e.perSite[site], e.windows[site]
-	if err := row.merge(e.layout.Cells(), ups, func(id uint32, delta int64) { win.Add(int(id), delta) }); err != nil {
+	if err := row.merge(e.layout.Cells(), ups, win.Add); err != nil {
 		return err
 	}
 	e.frames++
