@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,7 +25,8 @@ import (
 // the stream ONCE (the same deterministic siteRun a flat Site regenerates —
 // same counters, same RNG draw order, so every report decision is identical
 // to the flat run's), and routes each decided report to the coordinator
-// owning its counter id.
+// owning its counter id. The stream loop is the flat Site's (siteRun.stream)
+// over one connection per stripe.
 //
 // FederatedSite does not resume: a lost stripe connection fails the site.
 // Fault tolerance in the federation PR lives on the aggregation-tree tier
@@ -111,113 +111,19 @@ func (s *FederatedSite) Run() ([]Stats, error) {
 	}
 	// Owned-range bounds, ascending; los[i] is stripe i's first id and
 	// stripe i owns [los[i], los[i+1]).
-	los := make([]uint32, k+1)
+	up := &uplink{conns: conns, los: make([]uint32, k+1)}
 	for i := 0; i < k; i++ {
-		los[i], los[i+1] = st.layout.StripeRange(uint32(i), uint32(k))
+		up.los[i], up.los[i+1] = st.layout.StripeRange(uint32(i), uint32(k))
 	}
-
-	// ship routes one ascending decided-report batch: split into contiguous
-	// per-stripe runs (ids ascending makes each stripe's share one slice)
-	// and frame each non-empty run to its owner.
-	ship := func(frameType byte, ups []Update) error {
-		stripe := 0
-		for lo := 0; lo < len(ups); {
-			for ups[lo].Counter >= los[stripe+1] {
-				stripe++
-			}
-			hi := lo
-			for hi < len(ups) && ups[hi].Counter < los[stripe+1] {
-				hi++
-			}
-			if frameType == frameUpdates2 {
-				st.buf = encodeUpdates2(st.buf, ups[lo:hi])
-			} else {
-				st.buf = encodeUpdates(st.buf, ups[lo:hi])
-			}
-			if err := conns[stripe].writeFrame(frameType, st.buf); err != nil {
-				return err
-			}
-			lo = hi
-		}
-		return nil
-	}
-
-	cfg, netw, layout := st.cfg, st.netw, st.layout
-	window := uint64(cfg.BatchEvents)
-	const flushEvery = 1024
-	flushAll := func() error {
-		for _, c := range conns {
-			if err := c.flush(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	flushBatch := func() error {
-		if len(st.batch) == 0 {
-			return nil
-		}
-		st.ups = st.ups[:0]
-		for id, n := range st.batch {
-			st.ups = append(st.ups, Update{Counter: id, LocalCount: n})
-		}
-		clear(st.batch)
-		slices.SortFunc(st.ups, func(a, b Update) int { return int(a.Counter) - int(b.Counter) })
-		if err := ship(frameUpdates2, st.ups); err != nil {
-			return err
-		}
-		return flushAll()
-	}
-
-	for st.next < cfg.Events {
-		e := st.next
-		x := st.nextEvent()
-		st.ups = st.ups[:0]
-		for i := 0; i < netw.Len(); i++ {
-			pidx := netw.ParentIndex(i, x)
-			for _, id := range [2]uint32{layout.PairID(i, x[i], pidx), layout.ParID(i, pidx)} {
-				if n, report := st.counts.inc(id, st.rng); report {
-					st.lastReported[id] = n
-					if st.batch != nil {
-						st.batch[id] = n
-					} else {
-						st.ups = append(st.ups, Update{Counter: id, LocalCount: n})
-					}
-				}
-			}
-		}
-		// Consumed before any fallible write, as in Site.process.
-		st.next = e + 1
-		if st.batch == nil {
-			if len(st.ups) > 0 {
-				// Per-event ups are ascending by construction (variable
-				// blocks ascend; within one, pair ids precede parent ids).
-				if err := ship(frameUpdates, st.ups); err != nil {
-					return nil, err
-				}
-			}
-			if (e+1)%flushEvery == 0 {
-				if err := flushAll(); err != nil {
-					return nil, err
-				}
-			}
-		} else if (e+1)%window == 0 {
-			if err := flushBatch(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if st.batch != nil {
-		if err := flushBatch(); err != nil {
-			return nil, err
-		}
+	if err := st.stream(up, 0); err != nil {
+		return nil, err
 	}
 
 	// Done carries the site's full event count to EVERY stripe — each owner
 	// supervises the whole membership, so each one's closing Events is the
 	// run total.
 	for _, c := range conns {
-		if err := c.writeFrame(frameDone, encodeDone(s.id, int64(cfg.Events))); err != nil {
+		if err := c.writeFrame(frameDone, encodeDone(s.id, int64(st.cfg.Events))); err != nil {
 			return nil, err
 		}
 		if err := c.flush(); err != nil {

@@ -106,6 +106,12 @@ func (l *Layout) ParID(i, pidx int) uint32 {
 // Eps returns the error parameter of a counter.
 func (l *Layout) Eps(id uint32) float64 { return l.eps[id] }
 
+// varEps returns the error parameters of variable i's pair counters and of
+// its parent counters (its two sections).
+func (l *Layout) varEps(i int) (pair, par float64) {
+	return l.sections[2*i].Eps, l.sections[2*i+1].Eps
+}
+
 // reportProbLocal is the coordinator-free report probability: a site whose
 // local count is n estimates the global count as k·n (uniform routing) and
 // reports with p = min(1, √k/(ε'·k·n)). Exact counters (ε' = 0, the
@@ -115,8 +121,9 @@ func reportProbLocal(k int, eps float64, localCount int64) float64 {
 }
 
 // reportProbSqrtK is reportProbLocal with the √k hoisted out, for the
-// per-increment site path and the per-cell coordinator reads (same float
-// operations, so hoisting does not change any report decision).
+// per-cell coordinator reads (same float operations, so hoisting does not
+// change any value). It is also the definition the site's division-free
+// decision (siteCounters.inc) reproduces exactly.
 func reportProbSqrtK(k int, sqrtK, eps float64, localCount int64) float64 {
 	if eps <= 0 {
 		return 1
@@ -150,35 +157,56 @@ func adjustmentSqrtK(k int, sqrtK, eps float64, r int64) float64 {
 
 // siteCounters is the flat site-side counter state of one stream processor:
 // every local count in a single dense slice indexed by layout counter id,
-// with the report-probability constants (√k, per-id ε') hoisted out of the
-// per-increment path — the site-side mirror of the coordinator's flat
-// counter banks.
+// with the report-probability constants (k, √k and the decision band around
+// √k) hoisted out of the per-increment path — the site-side mirror of the
+// coordinator's flat counter banks. The caller passes each counter's ε',
+// hoisted per variable, so no per-id error parameter is loaded.
 type siteCounters struct {
-	layout *Layout
-	k      int
-	sqrtK  float64
-	counts []int64
+	k, sqrtK float64
+	// sqrtLo and sqrtHi are √k scaled by (1 ∓ 2⁻⁴⁰): a product u·b that
+	// clears this band compares with √k exactly as u with √k/b would.
+	sqrtLo, sqrtHi float64
+	counts         []int64
 }
 
-func newSiteCounters(layout *Layout, k int) *siteCounters {
+func newSiteCounters(counters uint32, k int) *siteCounters {
+	sqrtK := math.Sqrt(float64(k))
 	return &siteCounters{
-		layout: layout,
-		k:      k,
-		sqrtK:  math.Sqrt(float64(k)),
-		counts: make([]int64, layout.NumCounters()),
+		k:      float64(k),
+		sqrtK:  sqrtK,
+		sqrtLo: sqrtK * (1 - 0x1p-40),
+		sqrtHi: sqrtK * (1 + 0x1p-40),
+		counts: make([]int64, counters),
 	}
 }
 
-// inc records one local increment for the counter and decides whether the
-// site reports it: always when the report probability is 1 (exact phase or
-// exact counters), otherwise by a coin flip from rng — drawn only in the
-// sampling regime, matching the historical draw order exactly.
-func (s *siteCounters) inc(id uint32, rng *bn.RNG) (localCount int64, report bool) {
+// inc records one local increment for a counter with error parameter eps
+// and decides whether the site reports it. The outcome and the RNG draws
+// are those of
+//
+//	p := reportProbSqrtK(k, √k, eps, n); p >= 1 || rng.Float64() < p
+//
+// bit for bit — a coin is drawn only in the sampling regime, matching the
+// historical draw order — but without the division. Let b = ε'·(k·n),
+// rounded as reportProbSqrtK rounds it. Then p ≥ 1 exactly when b ≤ √k: a
+// b above √k exceeds it by at least one ulp, a relative 2⁻⁵³, which puts
+// the quotient √k/b below the rounding midpoint 1 − 2⁻⁵⁴. In the sampling
+// regime u < p compares as u·b < √k, up to rounding: the quotient and the
+// product are correctly rounded (relative error ≤ 2⁻⁵³) and u = m·2⁻⁵³ is
+// exact, so a product that clears √k by the factor 1 ± 2⁻⁴⁰ decides as the
+// quotient would. Only inside that band does inc divide.
+func (s *siteCounters) inc(id uint32, eps float64, rng *bn.RNG) (localCount int64, report bool) {
 	s.counts[id]++
 	n := s.counts[id]
-	p := reportProbSqrtK(s.k, s.sqrtK, s.layout.Eps(id), n)
-	if p >= 1 || rng.Float64() < p {
-		return n, true
+	b := eps * (s.k * float64(n))
+	if b <= s.sqrtK {
+		return n, true // p = 1: the exact phase, or an exact counter (ε' = 0)
 	}
-	return n, false
+	u := rng.Float64()
+	if v := u * b; v <= s.sqrtLo {
+		return n, true
+	} else if v >= s.sqrtHi {
+		return n, false
+	}
+	return n, u < s.sqrtK/b
 }

@@ -1,90 +1,13 @@
 package cluster
 
 import (
-	"bytes"
-	"runtime/pprof"
-	"sort"
-	"strings"
 	"testing"
-	"time"
-)
 
-// leakWait bounds how long checkGoroutines lets the test's own goroutines
-// (sites it ran, relays it started) finish after the test ends.
-const leakWait = 5 * time.Second
+	"distbayes/internal/leakcheck"
+)
 
 // checkGoroutines fails t unless every goroutine started during the test
 // has exited once the test body and the cleanups registered after this call
-// — every Close among them — have run. Goroutines started by the package's
-// own code rather than by the test must be on their way out already: one
-// still blocked inside the package (waiting on a connection, a channel, a
-// file write) means a Close returned without joining it, and may write
-// after the test is gone. The rest get leakWait to finish. On failure the
-// surviving stacks are printed.
-func checkGoroutines(t *testing.T) {
-	t.Helper()
-	before := goroutineStacks()
-	t.Cleanup(func() {
-		deadline := time.Now().Add(leakWait)
-		for first := true; ; first = false {
-			var blocked, alive []string
-			for id, stack := range goroutineStacks() {
-				if _, ok := before[id]; ok {
-					continue
-				}
-				alive = append(alive, stack)
-				if first && ownedAndBlocked(stack) {
-					blocked = append(blocked, stack)
-				}
-			}
-			sort.Strings(blocked)
-			sort.Strings(alive)
-			switch {
-			case len(blocked) > 0:
-				t.Errorf("%d package goroutine(s) still blocked after Close:\n\n%s",
-					len(blocked), strings.Join(blocked, "\n\n"))
-				return
-			case len(alive) == 0:
-				return
-			case time.Now().After(deadline):
-				t.Errorf("%d goroutine(s) still running %v after the test:\n\n%s",
-					len(alive), leakWait, strings.Join(alive, "\n\n"))
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	})
-}
-
-// goroutineStacks returns every live goroutine's stack keyed by goroutine
-// id (ids are never reused within a process).
-func goroutineStacks() map[string]string {
-	var buf bytes.Buffer
-	pprof.Lookup("goroutine").WriteTo(&buf, 2)
-	out := make(map[string]string)
-	for _, g := range strings.Split(strings.TrimSpace(buf.String()), "\n\n") {
-		hdr, _, _ := strings.Cut(g, " [")
-		if id, ok := strings.CutPrefix(hdr, "goroutine "); ok {
-			out[id] = g
-		}
-	}
-	return out
-}
-
-// ownedAndBlocked reports whether a goroutine was created by non-test code
-// of this package and is parked rather than running: a joined goroutine
-// that is merely exiting shows as running or runnable.
-func ownedAndBlocked(stack string) bool {
-	i := strings.LastIndex(stack, "\ncreated by ")
-	if i < 0 {
-		return false
-	}
-	creator, file, _ := strings.Cut(stack[i+1:], "\n")
-	if !strings.HasPrefix(creator, "created by distbayes/internal/cluster.") || strings.Contains(file, "_test.go:") {
-		return false
-	}
-	_, state, _ := strings.Cut(stack, " [")
-	state, _, _ = strings.Cut(state, "]")
-	state, _, _ = strings.Cut(state, ",")
-	return state != "running" && state != "runnable"
-}
+// have run, and no goroutine started by the package itself is still blocked
+// after its Close (see leakcheck.Check).
+func checkGoroutines(t *testing.T) { leakcheck.Check(t, "distbayes/internal/cluster") }

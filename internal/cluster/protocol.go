@@ -25,8 +25,11 @@
 // The wire protocol is versioned by frame type. A version-1 site ships one
 // fixed-width frameUpdates frame per event that triggered a report; a
 // version-2 site (StartConfig.BatchEvents > 0) coalesces a batching window
-// of report decisions into a local delta batch and ships one
-// varint-compressed frameUpdates2 frame per window. Report decisions are
+// of report decisions and ships one varint-compressed frameUpdates2 frame
+// per window. Both run one site loop: the window is a bitset of the counter
+// ids reported in it (one event long in version 1), its counts are the
+// site's latest decided ones, and the drain walks the bits in the ascending
+// id order both frames carry. Report decisions are
 // made per increment by the same seeded site RNGs either way and counts
 // are monotone, so batching leaves every final estimate bit-identical
 // while sending a small fraction of the frames

@@ -3,8 +3,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"net"
-	"slices"
 	"time"
 
 	"distbayes/internal/bn"
@@ -87,8 +87,12 @@ type siteRun struct {
 	// doneSent records that the coordinator accepted this site's Done
 	// marker (learned from a resume ack's resumeSiteDone flag).
 	doneSent bool
-	// batch is the pending protocol-v2 coalescing window (nil in v1 mode).
-	batch map[uint32]int64
+	// window is the set of counter ids reported since the last drain, one
+	// bit per id: a window of cfg.BatchEvents events in protocol v2, of one
+	// event in v1. The counts to ship are read from lastReported, which
+	// holds the latest decision (counts are monotone, so the latest subsumes
+	// the window's earlier ones), and the drain walks the words in id order.
+	window []uint64
 	// structLayout/structCounts hold the structure-learning overlay's
 	// cumulative pairwise co-occurrence counts (protocol v4; nil/empty with
 	// learning off). Counts are monotone and shipped whole, so a replayed
@@ -127,18 +131,16 @@ func newSiteRun(id uint32, cfg StartConfig) (*siteRun, error) {
 		cfg:    cfg,
 		netw:   netw,
 		layout: layout,
-		counts: newSiteCounters(layout, int(cfg.Sites)),
+		counts: newSiteCounters(layout.NumCounters(), int(cfg.Sites)),
 		rng:    bn.NewRNG(cfg.StreamSeed ^ (uint64(id) * 0x9e3779b97f4a7c15)),
 		// The site's share of the stream is the same per-site sub-stream the
 		// in-process parallel engine uses — one shared constructor guards the
 		// cluster-vs-in-process equivalence.
 		training:     stream.NewSiteTraining(model, int(id), cfg.StreamSeed),
 		lastReported: make([]int64, layout.NumCounters()),
+		window:       make([]uint64, (layout.NumCounters()+63)/64),
 		ups:          make([]Update, 0, 2*netw.Len()),
 		buf:          make([]byte, 0, 24*netw.Len()),
-	}
-	if cfg.BatchEvents > 0 {
-		st.batch = make(map[uint32]int64, 2*netw.Len())
 	}
 	if cfg.StructBatchEvents > 0 {
 		if st.structLayout, err = NewStructLayout(netw); err != nil {
@@ -171,6 +173,64 @@ func newSiteRun(id uint32, cfg StartConfig) (*siteRun, error) {
 		st.drift = stream.NewSiteTraining(driftModel, int(id), cfg.StreamSeed^0xd21f7a3c5e9b11)
 	}
 	return st, nil
+}
+
+// step runs the site half of the counter protocol on the stream event x:
+// every increment it triggers is decided (siteCounters.inc, in the fixed
+// variable order that fixes the RNG draw order), and each decided report is
+// recorded in lastReported and the window. step then marks the event
+// consumed, before any fallible network write, so a broken connection can
+// never replay a consumed sample (its decisions are in lastReported and
+// covered by resume replay).
+func (st *siteRun) step(x []int) {
+	if st.structCounts != nil {
+		st.structLayout.Accumulate(st.structCounts, x)
+	}
+	netw, layout := st.netw, st.layout
+	for i := 0; i < netw.Len(); i++ {
+		pidx := netw.ParentIndex(i, x)
+		epsPair, epsPar := layout.varEps(i)
+		st.decide(layout.PairID(i, x[i], pidx), epsPair)
+		st.decide(layout.ParID(i, pidx), epsPar)
+	}
+	st.next++
+}
+
+// decide runs one increment of counter id and records a report.
+func (st *siteRun) decide(id uint32, eps float64) {
+	if n, report := st.counts.inc(id, eps, st.rng); report {
+		st.lastReported[id] = n
+		st.window[id>>6] |= 1 << (id & 63)
+	}
+}
+
+// drain empties the window and returns its reports in ascending id order,
+// each with its latest decided count, in the reused st.ups.
+func (st *siteRun) drain() []Update {
+	st.ups = st.ups[:0]
+	for w, word := range st.window {
+		if word == 0 {
+			continue
+		}
+		st.window[w] = 0
+		for ; word != 0; word &= word - 1 {
+			id := uint32(w<<6 | bits.TrailingZeros64(word))
+			st.ups = append(st.ups, Update{Counter: id, LocalCount: st.lastReported[id]})
+		}
+	}
+	return st.ups
+}
+
+// encode serializes one ascending report run into st.buf in the run's
+// protocol version and returns the frame type: fixed-width frameUpdates per
+// event in v1, varint frameUpdates2 per window in v2.
+func (st *siteRun) encode(ups []Update) byte {
+	if st.cfg.BatchEvents > 0 {
+		st.buf = encodeUpdates2(st.buf, ups)
+		return frameUpdates2
+	}
+	st.buf = encodeUpdates(st.buf, ups)
+	return frameUpdates
 }
 
 // nextEvent draws the site's next stream event: from the base generating
@@ -283,15 +343,9 @@ func (s *Site) runConn(raw net.Conn, pst **siteRun) (Stats, bool, error) {
 	}
 
 	if !st.doneSent && st.next < st.cfg.Events {
-		var err error
-		if st.cfg.BatchEvents > 0 {
-			err = s.processBatched(c, st)
-		} else {
-			err = s.process(c, st)
-		}
-		if err != nil {
-			terminal := errors.Is(err, ErrSiteCrashed)
-			return Stats{}, terminal, err
+		up := &uplink{conns: []*conn{c}, los: []uint32{0, st.layout.NumCounters()}}
+		if err := st.stream(up, s.CrashAfterEvents); err != nil {
+			return Stats{}, errors.Is(err, ErrSiteCrashed), err
 		}
 	}
 	if !st.doneSent {
@@ -322,12 +376,10 @@ func (s *Site) replay(c *conn, st *siteRun) error {
 			st.ups = append(st.ups, Update{Counter: uint32(id), LocalCount: n})
 		}
 	}
-	if st.batch != nil {
-		// The pending window is subsumed by lastReported (both record the
-		// latest decision); drop it so it is not re-flushed at the next
-		// window boundary.
-		clear(st.batch)
-	}
+	// The pending window is subsumed by lastReported (both record the
+	// latest decision); drop it so it is not re-flushed at the next window
+	// boundary.
+	clear(st.window)
 	if len(st.ups) > 0 {
 		st.buf = encodeUpdates2(st.buf, st.ups)
 		if err := c.writeFrame(frameUpdates2, st.buf); err != nil {
@@ -338,7 +390,7 @@ func (s *Site) replay(c *conn, st *siteRun) error {
 	// restored from a checkpoint restarts with an empty MI window, and the
 	// replayed cumulative counts (max-merged, so a no-op when nothing was
 	// lost) put the per-site statistics back.
-	if err := s.shipStructStats(c, st); err != nil {
+	if err := st.shipStructStats(c); err != nil {
 		return err
 	}
 	return c.flush()
@@ -349,7 +401,7 @@ func (s *Site) replay(c *conn, st *siteRun) error {
 // structure learning off or before the first event). Cumulative counts make
 // the frame self-contained: the coordinator max-merges it, so duplicates
 // and replays are absorbed.
-func (s *Site) shipStructStats(c *conn, st *siteRun) error {
+func (st *siteRun) shipStructStats(c *conn) error {
 	if st.structCounts == nil || st.next == 0 {
 		return nil
 	}
@@ -395,153 +447,117 @@ func awaitStats(c *conn, site uint32) (Stats, error) {
 	}
 }
 
-// crashed reports whether the chaos hook fires at stream position next.
-func (s *Site) crashed(next uint64) bool {
-	return s.CrashAfterEvents > 0 && next >= s.CrashAfterEvents
+// uplink is where a site's stream loop sends its frames: the one
+// coordinator connection of a flat Site, or one connection per stripe of a
+// FederatedSite, where conns[i] owns the counter ids [los[i], los[i+1]).
+type uplink struct {
+	conns []*conn
+	los   []uint32
 }
 
-// process is the protocol-version-1 stream loop: one frameUpdates frame per
-// event that triggered a report, resuming from st.next.
-func (s *Site) process(c *conn, st *siteRun) error {
-	cfg, netw, layout := st.cfg, st.netw, st.layout
-	latency := time.Duration(cfg.LatencyMicros) * time.Microsecond
-	// Without artificial latency, frames ride the 64KB connection buffer;
-	// flush on a fixed event cadence so the coordinator's continuous view
-	// stays fresh even on low-rate counters.
-	const flushEvery = 1024
-
-	for st.next < cfg.Events {
-		if s.crashed(st.next) {
-			return ErrSiteCrashed
+// ship frames one ascending report list: ascending ids make each stripe's
+// share one contiguous run, and each non-empty run goes to its owner.
+func (up *uplink) ship(st *siteRun, ups []Update) error {
+	stripe := 0
+	for lo := 0; lo < len(ups); {
+		for ups[lo].Counter >= up.los[stripe+1] {
+			stripe++
 		}
-		e := st.next
-		x := st.nextEvent()
-		if st.structCounts != nil {
-			st.structLayout.Accumulate(st.structCounts, x)
+		hi := lo
+		for hi < len(ups) && ups[hi].Counter < up.los[stripe+1] {
+			hi++
 		}
-		st.ups = st.ups[:0]
-		for i := 0; i < netw.Len(); i++ {
-			pidx := netw.ParentIndex(i, x)
-			for _, id := range [2]uint32{layout.PairID(i, x[i], pidx), layout.ParID(i, pidx)} {
-				if n, report := st.counts.inc(id, st.rng); report {
-					st.lastReported[id] = n
-					st.ups = append(st.ups, Update{Counter: id, LocalCount: n})
-				}
-			}
-		}
-		// The event is consumed the moment the sample is drawn and the
-		// decisions recorded; advance before any fallible write so a broken
-		// connection can never replay a consumed sample (the decisions it
-		// carried are in lastReported and covered by resume replay).
-		st.next = e + 1
-		if len(st.ups) > 0 {
-			st.buf = encodeUpdates(st.buf, st.ups)
-			if err := c.writeFrame(frameUpdates, st.buf); err != nil {
-				return err
-			}
-			if latency > 0 {
-				if err := c.flush(); err != nil {
-					return err
-				}
-				time.Sleep(latency)
-			}
-		}
-		if st.structCounts != nil && (e+1)%uint64(cfg.StructBatchEvents) == 0 {
-			if err := s.shipStructStats(c, st); err != nil {
-				return err
-			}
-		}
-		// Cadence check runs even for update-less events (the paper's no
-		// update, no message optimization), so a frame buffered during a
-		// long quiet stretch still reaches the coordinator promptly.
-		if latency == 0 && (e+1)%flushEvery == 0 {
-			if err := c.flush(); err != nil {
-				return err
-			}
-		}
-	}
-	// A final ship covers the tail shorter than one struct batch window.
-	if err := s.shipStructStats(c, st); err != nil {
-		return err
-	}
-	return c.flush()
-}
-
-// processBatched is the protocol-version-2 stream loop: report decisions are
-// made per increment exactly as in the per-event path (same counters, same
-// RNG draw order), but instead of shipping a frame per triggering event the
-// decided reports coalesce into a sparse delta batch — a map from counter id
-// to its latest decided local count; counts are monotone, so the latest
-// subsumes the window's earlier decisions — that is flushed as one
-// varint-compressed frameUpdates2 frame every cfg.BatchEvents events. A
-// report is therefore delayed by at most one window, a staleness of the same
-// kind as the trailing gap the report probability already models. Resumes
-// from st.next; window boundaries are absolute stream positions, so a
-// reconnect does not shift the frame schedule.
-func (s *Site) processBatched(c *conn, st *siteRun) error {
-	cfg, netw, layout := st.cfg, st.netw, st.layout
-	window := uint64(cfg.BatchEvents)
-	latency := time.Duration(cfg.LatencyMicros) * time.Microsecond
-
-	flush := func() error {
-		if len(st.batch) == 0 {
-			return nil
-		}
-		st.ups = st.ups[:0]
-		for id, n := range st.batch {
-			st.ups = append(st.ups, Update{Counter: id, LocalCount: n})
-		}
-		clear(st.batch)
-		slices.SortFunc(st.ups, func(a, b Update) int { return int(a.Counter) - int(b.Counter) })
-		st.buf = encodeUpdates2(st.buf, st.ups)
-		if err := c.writeFrame(frameUpdates2, st.buf); err != nil {
+		if err := up.conns[stripe].writeFrame(st.encode(ups[lo:hi]), st.buf); err != nil {
 			return err
 		}
-		// A window frame is rare by construction: push it out immediately so
-		// the coordinator's live view stays at most one window stale.
+		lo = hi
+	}
+	return nil
+}
+
+func (up *uplink) flush() error {
+	for _, c := range up.conns {
 		if err := c.flush(); err != nil {
 			return err
 		}
-		if latency > 0 {
-			time.Sleep(latency)
-		}
-		return nil
 	}
+	return nil
+}
+
+// stream is the site's stream loop, shared by every protocol version and by
+// flat and federated sites. It steps each event from st.next (resuming where
+// a lost connection stopped) and drains the window into frames at every
+// window boundary: after each event in protocol v1, which ships one frame
+// per event that triggered a report, and every cfg.BatchEvents events in
+// v2, which coalesces the window into one frame. A report is therefore
+// delayed by at most one window, a staleness of the same kind as the
+// trailing gap the report probability already models. Window boundaries are
+// absolute stream positions, so a reconnect does not shift the frame
+// schedule. crashAt, when nonzero, is Site.CrashAfterEvents.
+func (st *siteRun) stream(up *uplink, crashAt uint64) error {
+	cfg := st.cfg
+	window := uint64(max(cfg.BatchEvents, 1))
+	latency := time.Duration(cfg.LatencyMicros) * time.Microsecond
+	// Without artificial latency, v1 frames ride the 64KB connection
+	// buffer; flush on a fixed event cadence so the coordinator's continuous
+	// view stays fresh even on low-rate counters. The check runs even for
+	// update-less events (the paper's no update, no message optimization),
+	// so a frame buffered during a long quiet stretch still reaches the
+	// coordinator promptly.
+	const flushEvery = 1024
 
 	for st.next < cfg.Events {
-		if s.crashed(st.next) {
+		if crashAt > 0 && st.next >= crashAt {
 			return ErrSiteCrashed
 		}
+		st.step(st.nextEvent())
 		e := st.next
-		x := st.nextEvent()
-		if st.structCounts != nil {
-			st.structLayout.Accumulate(st.structCounts, x)
-		}
-		for i := 0; i < netw.Len(); i++ {
-			pidx := netw.ParentIndex(i, x)
-			for _, id := range [2]uint32{layout.PairID(i, x[i], pidx), layout.ParID(i, pidx)} {
-				if n, report := st.counts.inc(id, st.rng); report {
-					st.lastReported[id] = n
-					st.batch[id] = n
-				}
-			}
-		}
-		// Consumed: advance before the fallible flush (see process).
-		st.next = e + 1
-		if (e+1)%window == 0 {
-			if err := flush(); err != nil {
+		if e%window == 0 {
+			if err := st.shipWindow(up, latency); err != nil {
 				return err
 			}
 		}
-		if st.structCounts != nil && (e+1)%uint64(cfg.StructBatchEvents) == 0 {
-			if err := s.shipStructStats(c, st); err != nil {
+		if st.structCounts != nil && e%uint64(cfg.StructBatchEvents) == 0 {
+			if err := st.shipStructStats(up.conns[0]); err != nil {
+				return err
+			}
+		}
+		if latency == 0 && e%flushEvery == 0 {
+			if err := up.flush(); err != nil {
 				return err
 			}
 		}
 	}
-	if err := flush(); err != nil {
+	// A final ship covers the tails shorter than one window and one struct
+	// batch window.
+	if err := st.shipWindow(up, latency); err != nil {
 		return err
 	}
-	// A final ship covers the tail shorter than one struct batch window.
-	return s.shipStructStats(c, st)
+	if err := st.shipStructStats(up.conns[0]); err != nil {
+		return err
+	}
+	return up.flush()
+}
+
+// shipWindow drains the window into frames (nothing when it is empty). A
+// v2 window frame is rare by construction: it is pushed out immediately so
+// the coordinator's live view stays at most one window stale. With
+// artificial latency every frame is pushed out and followed by the delay.
+func (st *siteRun) shipWindow(up *uplink, latency time.Duration) error {
+	ups := st.drain()
+	if len(ups) == 0 {
+		return nil
+	}
+	if err := up.ship(st, ups); err != nil {
+		return err
+	}
+	if st.cfg.BatchEvents > 0 || latency > 0 {
+		if err := up.flush(); err != nil {
+			return err
+		}
+	}
+	if latency > 0 {
+		time.Sleep(latency)
+	}
+	return nil
 }

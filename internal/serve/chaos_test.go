@@ -91,7 +91,7 @@ func TestServeChaosCoordinatorKillRestart(t *testing.T) {
 		clientWG.Add(1)
 		go func(c int) {
 			defer clientWG.Done()
-			client := &http.Client{Timeout: 30 * time.Second}
+			client := &http.Client{Transport: testTransport, Timeout: 30 * time.Second}
 			crng := bn.NewRNG(uint64(c) + 0xFACE)
 			var x []int
 			var lastVersion uint64

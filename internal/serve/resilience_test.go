@@ -67,7 +67,7 @@ func queryOnce(t testing.TB, addr string, x []int) (int, queryEnvelope) {
 
 func healthState(t testing.TB, addr string) (int, string) {
 	t.Helper()
-	resp, err := http.Get("http://" + addr + "/healthz")
+	resp, err := testClient.Get("http://" + addr + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestServeDegradedCeiling(t *testing.T) {
 	}
 
 	time.Sleep(120 * time.Millisecond) // let the last-good snapshot age past the ceiling
-	resp, err := http.Post("http://"+srv.Addr()+"/v1/queryprob", "text/plain", strings.NewReader(csvBody(x)))
+	resp, err := testClient.Post("http://"+srv.Addr()+"/v1/queryprob", "text/plain", strings.NewReader(csvBody(x)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestServeAdmissionShed(t *testing.T) {
 	})
 
 	// C: gate and queue both full — shed synchronously.
-	resp, err := http.Post("http://"+srv.Addr()+"/v1/queryprob", "text/plain", strings.NewReader(csvBody(x)))
+	resp, err := testClient.Post("http://"+srv.Addr()+"/v1/queryprob", "text/plain", strings.NewReader(csvBody(x)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"distbayes/internal/bn"
 	"distbayes/internal/cluster"
 	"distbayes/internal/core"
+	"distbayes/internal/leakcheck"
 	"distbayes/internal/netgen"
 	"distbayes/internal/stream"
 )
@@ -49,10 +50,23 @@ func newAlarmTracker(t testing.TB, events int, shards int) (*bn.Model, *core.Tra
 	return model, tr
 }
 
+// testTransport carries every request the package's tests send. It is the
+// tests' own rather than http.DefaultTransport so that startServer's
+// cleanup can close its idle connections before Shutdown. The transport can
+// dial a connection that no request ends up using — the request it was
+// dialled for took a connection that fell idle first — and the server holds
+// such a connection in StateNew, which Shutdown counts as active until it is
+// 5 s old: the cleanup's whole deadline.
+var testTransport = http.DefaultTransport.(*http.Transport).Clone()
+
+// testClient is the tests' client over testTransport.
+var testClient = &http.Client{Transport: testTransport}
+
 // startServer runs a server over src on a loopback port, shut down with the
-// test.
+// test, and checks that the test leaves no goroutine behind.
 func startServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
+	leakcheck.Check(t, "distbayes/internal/serve")
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -61,6 +75,7 @@ func startServer(t testing.TB, cfg Config) *Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
+		testTransport.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
@@ -73,7 +88,7 @@ func startServer(t testing.TB, cfg Config) *Server {
 // post sends body to the endpoint and returns the status and response body.
 func post(t testing.TB, addr, endpoint, body string) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post("http://"+addr+endpoint, "application/json", strings.NewReader(body))
+	resp, err := testClient.Post("http://"+addr+endpoint, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST %s: %v", endpoint, err)
 	}
@@ -264,7 +279,7 @@ func TestServeRequestValidation(t *testing.T) {
 	srv := startServer(t, Config{Source: NewTrackerSource(tr), MaxBodyBytes: 1 << 12})
 	addr := srv.Addr()
 
-	resp, err := http.Get("http://" + addr + "/v1/queryprob")
+	resp, err := testClient.Get("http://" + addr + "/v1/queryprob")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +342,7 @@ func TestServeStatszAndModel(t *testing.T) {
 		t.Fatal("queryprob failed")
 	}
 
-	resp, err := http.Get("http://" + addr + "/v1/model")
+	resp, err := testClient.Get("http://" + addr + "/v1/model")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +380,7 @@ func TestServeStatszAndModel(t *testing.T) {
 		}
 	}
 
-	resp, err = http.Get("http://" + addr + "/statsz")
+	resp, err = testClient.Get("http://" + addr + "/statsz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +399,7 @@ func TestServeStatszAndModel(t *testing.T) {
 		t.Errorf("snapshot stats off: %+v", st.Snapshot)
 	}
 
-	resp, err = http.Get("http://" + addr + "/healthz")
+	resp, err = testClient.Get("http://" + addr + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +438,7 @@ func TestServeDuringParallelIngest(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			client := &http.Client{}
+			client := testClient
 			rng := bn.NewRNG(uint64(c) + 100)
 			var x []int
 			var lastVersion uint64
@@ -531,7 +546,7 @@ func TestServeDuringCoordinatorChurn(t *testing.T) {
 		clientWG.Add(1)
 		go func(c int) {
 			defer clientWG.Done()
-			client := &http.Client{}
+			client := testClient
 			rng := bn.NewRNG(uint64(c) + 33)
 			var x []int
 			for {
@@ -648,7 +663,7 @@ func TestServerShutdownDrains(t *testing.T) {
 		t.Fatal("Shutdown did not return after the in-flight request drained")
 	}
 
-	if _, err := http.Post("http://"+addr+"/v1/queryprob", "text/plain",
+	if _, err := testClient.Post("http://"+addr+"/v1/queryprob", "text/plain",
 		strings.NewReader(csvBody(x))); err == nil {
 		t.Error("request after shutdown unexpectedly succeeded")
 	}

@@ -62,7 +62,7 @@ func TestServeLearnedStructureHotSwap(t *testing.T) {
 		clientWG.Add(1)
 		go func(c int) {
 			defer clientWG.Done()
-			client := &http.Client{}
+			client := testClient
 			rng := bn.NewRNG(uint64(c) + 33)
 			var x []int
 			var lastVersion, lastEpoch uint64

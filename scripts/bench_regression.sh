@@ -6,7 +6,8 @@
 # benchmark (BenchmarkParallelIngest, BenchmarkDeltaIngest,
 # BenchmarkClusterThroughput, BenchmarkFederationThroughput,
 # BenchmarkServeQueries,
-# BenchmarkServeOverload — anything reporting events/sec or queries/sec;
+# BenchmarkServeOverload, BenchmarkSiteStep in internal/cluster — anything
+# reporting events/sec or queries/sec;
 # for the overload benchmark queries/sec is the admitted-request
 # throughput under shedding) loses more than BENCH_REGRESSION_PCT
 # (default 30) percent of its baseline rate, and only when the runner
@@ -31,10 +32,10 @@ cd "$(dirname "$0")/.."
 BASELINE=${BENCH_BASELINE:-BENCH_BASELINE.txt}
 THRESHOLD=${BENCH_REGRESSION_PCT:-30}
 BENCH_TIME=${BENCH_TIME:-1s}
-PATTERN='BenchmarkParallelIngest|BenchmarkDeltaIngest|BenchmarkQueryProb|BenchmarkClassify$|BenchmarkEstimatedModel|BenchmarkNewTracker|BenchmarkClusterThroughput|BenchmarkStructLearnOverhead|BenchmarkFederationThroughput|BenchmarkServeQueries|BenchmarkServeOverload'
+PATTERN='BenchmarkParallelIngest|BenchmarkDeltaIngest|BenchmarkQueryProb|BenchmarkClassify$|BenchmarkEstimatedModel|BenchmarkNewTracker|BenchmarkClusterThroughput|BenchmarkStructLearnOverhead|BenchmarkFederationThroughput|BenchmarkServeQueries|BenchmarkServeOverload|BenchmarkSiteStep'
 
 run_benchmarks() {
-  go test -count=1 -run '^$' -bench "$PATTERN" -benchtime "$BENCH_TIME" .
+  go test -count=1 -run '^$' -bench "$PATTERN" -benchtime "$BENCH_TIME" . ./internal/cluster
 }
 
 if [[ "${1:-}" == "--update-baseline" ]]; then
